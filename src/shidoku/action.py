@@ -14,8 +14,8 @@ from typing import Iterable, Sequence
 
 from .board import Board, enumerate_all, validate
 from .group import SymmetryGroup, full_group
-from .perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t
-from .unionfind import UnionFind
+from .perm import Perm, SymmetryElement, perm_label, standard_name
+from .unionfind import components
 
 NamedElement = tuple[str, SymmetryElement]
 
@@ -84,15 +84,14 @@ def orbits(g: SymmetryGroup, boards: Sequence[Board] | None = None) -> OrbitPart
 
     Union-find over generator applications; generators suffice because
     orbits under a group equal connected components under its generators.
+    The generators are trusted to generate g.elements: nothing checks it,
+    so a hand-built group whose generators fall short gets finer blocks.
     """
     if boards is None:
         boards = enumerate_all()
     movers = g.generators if g.generators else tuple(g.elements)
-    uf = UnionFind(boards)
-    for e in movers:
-        for b in boards:
-            uf.union(b, apply(e, b))
-    blocks = tuple(tuple(block) for block in uf.blocks())
+    pairs = ((b, apply(e, b)) for e in movers for b in boards)
+    blocks = tuple(tuple(block) for block in components(boards, pairs))
     index = {b: k for k, block in enumerate(blocks) for b in block}
     return OrbitPartition(blocks, index)
 
@@ -107,8 +106,9 @@ def is_complete(g: SymmetryGroup) -> bool:
     """True iff g's orbits equal the full group's orbits block-for-block.
 
     Checked as partition equality against the full partition rather than
-    as "two orbits": for subgroups the two agree, but partition equality
-    also stays honest for arbitrary caller-supplied groups.
+    as "two orbits"; for subgroups the two agree.  Like orbits, it trusts
+    g.generators to generate g.elements, so a hand-built group whose
+    generators do not generate its elements can get a wrong answer.
     """
     return orbits(g) == full_partition()
 
@@ -131,10 +131,7 @@ class OrbitGraph:
     edges: tuple[OrbitEdge, ...]
 
     def components(self) -> list[list[Board]]:
-        uf = UnionFind(self.nodes)
-        for e in self.edges:
-            uf.union(e.src, e.dst)
-        return uf.blocks()
+        return components(self.nodes, ((e.src, e.dst) for e in self.edges))
 
     @property
     def component_count(self) -> int:
@@ -166,16 +163,12 @@ def orbit_graph(
 
 
 def element_label(e: SymmetryElement) -> str:
-    """Default edge label: single-letter names for the standard position
-    generators, cycle notation otherwise."""
-    standard = {gen_r(): "r", gen_r2(): "r2", gen_s(): "s", gen_t(): "t"}
-    if e.rel.is_identity and e.pos in standard:
-        return standard[e.pos]
-    if e.pos.is_identity and not e.rel.is_identity:
-        return e.rel.cycle_notation()
-    if e.is_identity:
-        return "id"
-    return str(e)
+    """Default edge label: perm_label of a relabel-only element or of a
+    standard position generator, the full pos/rel form otherwise."""
+    if e.pos.is_identity:
+        return perm_label(e.rel)
+    name = standard_name(e.pos) if e.rel.is_identity else None
+    return name or str(e)
 
 
 def named_generators(g: SymmetryGroup) -> tuple[NamedElement, ...]:

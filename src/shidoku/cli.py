@@ -16,21 +16,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Callable
+from typing import Iterable
 
 from .board import enumerate_all
-from .perm import Perm, gen_r, gen_r2, gen_s, gen_t, relabeling
+from .perm import Perm, perm_label, standard_position_generators
 from .group import (
+    GROUP_SHORTHANDS,
     SymmetryGroup,
-    direct_product,
-    full_group,
     generate,
     generate_position,
-    generate_relabel,
+    named_group,
     parse_group_description,
-    position_group,
-    relabel_group,
-    trivial_group,
 )
 from .action import is_position_symmetry, named_generators, orbit_graph, orbits
 from .burnside import burnside_orbit_count, invariance_table
@@ -44,56 +40,30 @@ class CliError(Exception):
     """Usage or parse error: exits with status 2."""
 
 
-_POSITION_FACTORS: dict[str, Callable[[], SymmetryGroup]] = {
-    "H4": position_group,
-    "st": lambda: generate_position([gen_s(), gen_t()]),
-    "rs": lambda: generate_position([gen_r(), gen_s()]),
-    "rt": lambda: generate_position([gen_r(), gen_t()]),
-    "r2st": lambda: generate_position([gen_r2(), gen_s(), gen_t()]),
-}
-
-_RELABEL_FACTORS: dict[str, Callable[[], SymmetryGroup]] = {
-    "S4": relabel_group,
-    "c123": lambda: generate_relabel([relabeling("(1 2 3)")]),
-}
-
-_POSITION_GEN_NAMES: dict[str, Callable[[], Perm]] = {
-    "r": gen_r,
-    "r2": gen_r2,
-    "s": gen_s,
-    "t": gen_t,
-}
+def _check_position_symmetries(source: str, perms: Iterable[Perm]) -> None:
+    """Reject any cell permutation from source that breaks some board."""
+    for p in perms:
+        if not p.is_identity and not is_position_symmetry(p):
+            raise CliError(
+                f"{source}: {p.cycle_notation()} is not a valid position "
+                "symmetry (it breaks some board)"
+            )
 
 
 def resolve_group(spec: str) -> SymmetryGroup:
-    if spec == "full":
-        return full_group()
-    if spec == "trivial":
-        return trivial_group()
-    if spec in _POSITION_FACTORS:
-        return _POSITION_FACTORS[spec]()
-    if spec in _RELABEL_FACTORS:
-        return _RELABEL_FACTORS[spec]()
-    if "x" in spec:
-        left, _, right = spec.partition("x")
-        if left in _POSITION_FACTORS and right in _RELABEL_FACTORS:
-            return direct_product(_POSITION_FACTORS[left](), _RELABEL_FACTORS[right]())
+    group = named_group(spec)
+    if group is not None:
+        return group
     path = Path(spec)
     if path.exists():
         try:
             gens = parse_group_description(path.read_text())
         except ValueError as exc:
             raise CliError(f"{spec}: {exc}") from exc
-        for e in gens:
-            if not e.pos.is_identity and not is_position_symmetry(e.pos):
-                raise CliError(
-                    f"{spec}: {e.pos.cycle_notation()} is not a valid position "
-                    "symmetry (it breaks some board)"
-                )
+        _check_position_symmetries(spec, (e.pos for e in gens))
         return generate(gens)
-    known = ["full", "trivial", *_POSITION_FACTORS, *_RELABEL_FACTORS]
     raise CliError(
-        f"unknown group spec {spec!r}; use one of {', '.join(known)}, a "
+        f"unknown group spec {spec!r}; use one of {', '.join(GROUP_SHORTHANDS)}, a "
         "<position>x<relabel> product, or a group description file path"
     )
 
@@ -116,18 +86,18 @@ def _parse_relabel_token(token: str) -> Perm:
 def _parse_gen_list(text: str, factor: str) -> list[tuple[str, Perm]]:
     tokens = [tok for tok in text.split(",") if tok.strip()]
     named: list[tuple[str, Perm]] = []
+    standard = dict(standard_position_generators())
     for token in tokens:
         token = token.strip()
         if factor == "s4":
-            if token not in _POSITION_GEN_NAMES:
+            if token not in standard:
                 raise CliError(
-                    f"unknown position generator {token!r}; "
-                    f"use {', '.join(_POSITION_GEN_NAMES)}"
+                    f"unknown position generator {token!r}; use {', '.join(standard)}"
                 )
-            named.append((token, _POSITION_GEN_NAMES[token]()))
+            named.append((token, standard[token]))
         else:
             perm = _parse_relabel_token(token)
-            named.append((perm.cycle_notation() or "id", perm))
+            named.append((perm_label(perm), perm))
     return named
 
 
@@ -232,8 +202,10 @@ def cmd_search(args) -> int:
             if args.relabel_pool
             else None
         )
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise CliError(str(exc)) from exc
+    if position_pool is not None:
+        _check_position_symmetries(args.position_pool, (p for _, p in position_pool))
     results = search_products(position_pool, relabel_pool)
     if args.minimal_only:
         results = tuple(res for res in results if res.minimal)
@@ -336,6 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         # downstream consumer (e.g. head) closed the pipe; not an error
         sys.stderr.close()
         return 0
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

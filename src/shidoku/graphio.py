@@ -12,7 +12,7 @@ import re
 
 from .action import OrbitGraph
 from .nests import NestGraph
-from .unionfind import UnionFind
+from .unionfind import components
 
 
 def _quote(s: str) -> str:
@@ -88,7 +88,4 @@ def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str]]]:
 def dot_component_count(text: str) -> int:
     """Weakly connected component count of a parsed DOT document."""
     nodes, edges = parse_dot(text)
-    uf = UnionFind(nodes)
-    for u, v in edges:
-        uf.union(u, v)
-    return len(uf.blocks())
+    return len(components(nodes, edges))

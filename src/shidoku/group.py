@@ -13,14 +13,13 @@ from functools import lru_cache
 from typing import Iterable
 
 from .perm import (
+    RELABEL_GENERATOR_NAMES,
     Perm,
     SymmetryElement,
-    gen_r,
-    gen_s,
-    gen_t,
     position_elements,
     relabel_elements,
-    relabel_generators,
+    relabeling,
+    standard_position_generators,
 )
 
 FULL_GROUP_ORDER = 3072
@@ -29,7 +28,12 @@ FULL_GROUP_ORDER = 3072
 @dataclass(frozen=True)
 class SymmetryGroup:
     """A set of symmetry elements closed under composition and inverse,
-    remembering the generators it was built from."""
+    remembering the generators it was built from.
+
+    Nothing checks that the generators generate the elements.  orbits,
+    is_complete and conjugacy_classes trust them to, so build groups with
+    generate or direct_product, not by hand.
+    """
 
     elements: frozenset[SymmetryElement]
     generators: tuple[SymmetryElement, ...]
@@ -157,23 +161,64 @@ def is_subgroup(a: SymmetryGroup, b: SymmetryGroup) -> bool:
     return a.elements <= b.elements
 
 
-@lru_cache(maxsize=1)
+#: Factor shorthands: position factors by standard generator names,
+#: relabel factors by generating cycles.
+_POSITION_FACTORS = {
+    "H4": ("r", "s", "t"),
+    "st": ("s", "t"),
+    "rs": ("r", "s"),
+    "rt": ("r", "t"),
+    "r2st": ("r2", "s", "t"),
+}
+_RELABEL_FACTORS = {"S4": RELABEL_GENERATOR_NAMES, "c123": ("(1 2 3)",)}
+
+#: The single-name group shorthands, in the order error messages list them.
+GROUP_SHORTHANDS = ("full", "trivial", *_POSITION_FACTORS, *_RELABEL_FACTORS)
+
+
+@lru_cache(maxsize=None)
+def _factor(name: str) -> SymmetryGroup:
+    """The group of a factor shorthand, built once per name."""
+    if name in _POSITION_FACTORS:
+        table = dict(standard_position_generators())
+        return generate_position(table[g] for g in _POSITION_FACTORS[name])
+    return generate_relabel(relabeling(g) for g in _RELABEL_FACTORS[name])
+
+
 def position_group() -> SymmetryGroup:
     """The full position symmetry group, generated by rotation, the
     third/fourth row swap, and transpose (order 128)."""
-    return generate_position([gen_r(), gen_s(), gen_t()])
+    return _factor("H4")
 
 
-@lru_cache(maxsize=1)
 def relabel_group() -> SymmetryGroup:
     """All 24 relabelings, generated by the four standard transpositions."""
-    return generate_relabel(relabel_generators())
+    return _factor("S4")
 
 
 @lru_cache(maxsize=1)
 def full_group() -> SymmetryGroup:
     """The full symmetry group: position_group() x relabel_group(), order 3072."""
     return direct_product(position_group(), relabel_group())
+
+
+def named_group(spec: str) -> SymmetryGroup | None:
+    """The group a shorthand names, or None if spec is not one.
+
+    Shorthands are GROUP_SHORTHANDS and products `<position>x<relabel>`
+    of a position factor (H4, st, rs, rt, r2st) and a relabel factor
+    (S4, c123), e.g. `stxS4` or `r2stxc123`.
+    """
+    if spec == "full":
+        return full_group()
+    if spec == "trivial":
+        return trivial_group()
+    if spec in _POSITION_FACTORS or spec in _RELABEL_FACTORS:
+        return _factor(spec)
+    left, _, right = spec.partition("x")
+    if left in _POSITION_FACTORS and right in _RELABEL_FACTORS:
+        return direct_product(_factor(left), _factor(right))
+    return None
 
 
 def parse_group_description(text: str) -> list[SymmetryElement]:

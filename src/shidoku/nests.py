@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .board import Board, block_of, coords, enumerate_all
-from .perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, grid_perm
+from .perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, grid_perm, perm_label
 from .action import apply_values, full_partition, position_apply
-from .unionfind import UnionFind
+from .unionfind import components
 
 #: Canonical representatives of the twelve relabeling-orbits (S4-nests).
 S4_REPRESENTATIVES: dict[str, str] = {
@@ -90,10 +90,7 @@ class NestGraph:
         raise KeyError(label)
 
     def components(self) -> list[list[str]]:
-        uf = UnionFind(n.label for n in self.nests)
-        for e in self.edges:
-            uf.union(e.src, e.dst)
-        return uf.blocks()
+        return components((n.label for n in self.nests), ((e.src, e.dst) for e in self.edges))
 
     @property
     def component_count(self) -> int:
@@ -254,25 +251,35 @@ def _h4_label_index() -> dict[Board, str]:
     return {n.representative: n.label for n in h4_nests()}
 
 
-STANDARD_POSITION_NAMES = {"r": gen_r, "r2": gen_r2, "s": gen_s, "t": gen_t}
-
-
 def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
     """Normalize generators to (name, perm) pairs of the wanted degree."""
-    named: list[tuple[str, Perm]] = []
-    for g in gens:
-        if isinstance(g, Perm):
-            name = next(
-                (n for n, f in STANDARD_POSITION_NAMES.items() if f() == g),
-                g.cycle_notation() or "id",
-            )
-            named.append((name, g))
-        else:
-            named.append((g[0], g[1]))
+    named = tuple((perm_label(g), g) if isinstance(g, Perm) else (g[0], g[1]) for g in gens)
     for name, p in named:
         if p.degree != degree:
             raise ValueError(f"generator {name!r} has degree {p.degree}, want {degree}")
-    return tuple(named)
+    return named
+
+
+def _nest_graph(
+    gens: Iterable,
+    degree: int,
+    nests: tuple[Nest, ...],
+    index: dict[Board, str],
+    element: Callable[[Perm], SymmetryElement],
+    canonicalize: Callable[[Board], tuple[Board, Perm]],
+) -> NestGraph:
+    """Induced action of one factor's generators on the other factor's
+    nests: move each representative by element(g), then canonicalize it;
+    the correcting symmetry the canonicalizer returns becomes the aux."""
+    edges = []
+    for name, g in _named(gens, degree):
+        directed = not (g * g).is_identity
+        e = element(g)
+        for n in nests:
+            canon, fix = canonicalize(Board(apply_values(e, n.representative.values)))
+            aux = None if fix.is_identity else fix
+            edges.append(NestEdge(n.label, index[canon], name, aux, directed))
+    return NestGraph(nests, tuple(edges))
 
 
 def s4_nest_graph(gens: Iterable) -> NestGraph:
@@ -281,18 +288,10 @@ def s4_nest_graph(gens: Iterable) -> NestGraph:
     Each edge records the relabeling needed to return the moved
     representative to canonical form.
     """
-    named = _named(gens, 16)
-    nests = s4_nests()
-    index = _s4_label_index()
-    edges = []
-    for name, g in named:
-        directed = not (g * g).is_identity
-        for n in nests:
-            moved = Board(position_apply(g, n.representative.values))
-            canon, sigma = s4_canonicalize_with_relabeling(moved)
-            aux = None if sigma.is_identity else sigma
-            edges.append(NestEdge(n.label, index[canon], name, aux, directed))
-    return NestGraph(nests, tuple(edges))
+    return _nest_graph(
+        gens, 16, s4_nests(), _s4_label_index(),
+        SymmetryElement.from_position, s4_canonicalize_with_relabeling,
+    )
 
 
 def h4_nest_graph(gens: Iterable) -> NestGraph:
@@ -301,20 +300,10 @@ def h4_nest_graph(gens: Iterable) -> NestGraph:
     Each edge records the position symmetry needed to return the moved
     representative to canonical form.
     """
-    named = _named(gens, 4)
-    nests = h4_nests()
-    index = _h4_label_index()
-    edges = []
-    for name, sigma in named:
-        directed = not (sigma * sigma).is_identity
-        for n in nests:
-            moved = Board(
-                apply_values(SymmetryElement.from_relabeling(sigma), n.representative.values)
-            )
-            canon, x = h4_canonicalize_with_transform(moved)
-            aux = None if x.is_identity else x
-            edges.append(NestEdge(n.label, index[canon], name, aux, directed))
-    return NestGraph(nests, tuple(edges))
+    return _nest_graph(
+        gens, 4, h4_nests(), _h4_label_index(),
+        SymmetryElement.from_relabeling, h4_canonicalize_with_transform,
+    )
 
 
 def completeness_via_nests(gens: Iterable) -> bool:

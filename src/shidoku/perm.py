@@ -173,6 +173,22 @@ def gen_r2() -> Perm:
     return gen_r() * gen_r()
 
 
+@lru_cache(maxsize=1)
+def standard_position_generators() -> tuple[tuple[str, Perm], ...]:
+    """The named position generators r, r2, s, t, in pool order."""
+    return (("r", gen_r()), ("r2", gen_r2()), ("s", gen_s()), ("t", gen_t()))
+
+
+def standard_name(p: Perm) -> str | None:
+    """p's name among the standard position generators, if it has one."""
+    return next((name for name, g in standard_position_generators() if g == p), None)
+
+
+def perm_label(p: Perm) -> str:
+    """Generator label: the standard name, else cycle notation, else 'id'."""
+    return standard_name(p) or p.cycle_notation() or "id"
+
+
 def relabeling(text: str) -> Perm:
     """Degree-4 permutation from cycle notation, e.g. '(1 2 3)'."""
     return Perm.from_cycles(text, RELABEL_DEGREE)

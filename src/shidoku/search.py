@@ -9,18 +9,10 @@ one 3-cycle of relabelings.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
-from .group import (
-    SymmetryGroup,
-    direct_product,
-    generate_position,
-    generate_relabel,
-    position_group,
-    relabel_group,
-)
-from .perm import Perm, gen_r, gen_r2, gen_s, gen_t, relabeling
+from .group import SymmetryGroup, direct_product, generate_position, generate_relabel
+from .perm import RELABEL_GENERATOR_NAMES, Perm, relabeling, standard_position_generators
 from .action import full_partition, is_complete, orbits
 
 NamedPerm = tuple[str, Perm]
@@ -29,11 +21,11 @@ MINIMAL_COMPLETE_ORDER = 192
 
 
 def default_position_pool() -> tuple[NamedPerm, ...]:
-    return (("r", gen_r()), ("r2", gen_r2()), ("s", gen_s()), ("t", gen_t()))
+    return standard_position_generators()
 
 
 def default_relabel_pool() -> tuple[NamedPerm, ...]:
-    names = ("(1 2)", "(2 3)", "(3 4)", "(1 4)", "(1 2 3)")
+    names = (*RELABEL_GENERATOR_NAMES, "(1 2 3)")
     return tuple((name, relabeling(name)) for name in names)
 
 
@@ -131,12 +123,6 @@ def verify_no_single_factor(g: SymmetryGroup) -> bool:
     has_position = any(not e.pos.is_identity for e in g.elements)
     has_relabel = any(not e.rel.is_identity for e in g.elements)
     return has_position and has_relabel
-
-
-@lru_cache(maxsize=1)
-def single_factor_groups() -> tuple[SymmetryGroup, SymmetryGroup]:
-    """(all position symmetries, all relabelings), each as a group on its own."""
-    return position_group(), relabel_group()
 
 
 def parse_pool_file(text: str, degree: int) -> tuple[NamedPerm, ...]:

@@ -38,3 +38,12 @@ class UnionFind:
         for x in self.parent:
             grouped.setdefault(self.find(x), []).append(x)
         return [sorted(grouped[rep]) for rep in sorted(grouped)]
+
+
+def components(items: Iterable[T], pairs: Iterable[tuple[T, T]]) -> list[list[T]]:
+    """Blocks of the finest partition of items that joins every pair,
+    sorted as UnionFind.blocks sorts them."""
+    uf = UnionFind(items)
+    for x, y in pairs:
+        uf.union(x, y)
+    return uf.blocks()

@@ -15,7 +15,6 @@ from .perm import (
     Perm,
     SymmetryElement,
     gen_r,
-    gen_r2,
     gen_s,
     gen_t,
     position_elements,
@@ -27,9 +26,9 @@ from .group import (
     full_group,
     generate_position,
     generate_relabel,
+    named_group,
     position_group,
     relabel_group,
-    trivial_group,
 )
 from .action import apply, full_partition, is_complete, named_generators, orbit_graph, orbits
 from .burnside import (
@@ -50,7 +49,7 @@ from .nests import (
     s4_nest_of,
     s4_nests,
 )
-from .search import default_relabel_pool, minimal_order
+from .search import default_position_pool, default_relabel_pool, minimal_order
 
 TYPE1_REPRESENTATIVE = "1234341221434321"
 TYPE2_REPRESENTATIVE = "1234341223414123"
@@ -68,15 +67,9 @@ def check_board_count() -> None:
 
 def check_group_orders() -> None:
     """Generated subgroup orders: <r,s,t>=128, <r,t>=8, <r,s>=64, <s,t>=8, full=3072."""
-    r, s, t = gen_r(), gen_s(), gen_t()
-    for name, gens, want in (
-        ("r,s,t", (r, s, t), 128),
-        ("r,t", (r, t), 8),
-        ("r,s", (r, s), 64),
-        ("s,t", (s, t), 8),
-    ):
-        got = generate_position(gens).order
-        expect(got == want, f"|<{name}>|: got {got}, want {want}")
+    for spec, want in (("H4", 128), ("rt", 8), ("rs", 64), ("st", 8)):
+        got = named_group(spec).order
+        expect(got == want, f"|{spec}|: got {got}, want {want}")
     expect(full_group().order == 3072, f"full group order {full_group().order} != 3072")
 
 
@@ -95,7 +88,7 @@ def check_full_orbits() -> None:
 
 def check_rotation_transpose_product() -> None:
     """<r,t> x S4 has order 192 but five orbits (minimal without being complete)."""
-    g = direct_product(generate_position([gen_r(), gen_t()]), relabel_group())
+    g = named_group("rtxS4")
     expect(g.order == 192, f"|<r,t> x S4| = {g.order} != 192")
     count = orbits(g).block_count
     expect(count == 5, f"<r,t> x S4 orbit count {count} != 5")
@@ -104,16 +97,10 @@ def check_rotation_transpose_product() -> None:
 
 def check_complete_products() -> None:
     """The three order-192 complete products, plus the order-384 one."""
-    c123 = generate_relabel([relabeling("(1 2 3)")])
-    cases = (
-        ("<r,s> x <(123)>", direct_product(generate_position([gen_r(), gen_s()]), c123), 192),
-        ("<s,t> x S4", direct_product(generate_position([gen_s(), gen_t()]), relabel_group()), 192),
-        ("<r2,s,t> x <(123)>", direct_product(generate_position([gen_r2(), gen_s(), gen_t()]), c123), 192),
-        ("full positions x <(123)>", direct_product(position_group(), c123), 384),
-    )
-    for name, g, want_order in cases:
-        expect(g.order == want_order, f"{name}: order {g.order} != {want_order}")
-        expect(is_complete(g), f"{name}: expected complete")
+    for spec, want_order in (("rsxc123", 192), ("stxS4", 192), ("r2stxc123", 192), ("H4xc123", 384)):
+        g = named_group(spec)
+        expect(g.order == want_order, f"{spec}: order {g.order} != {want_order}")
+        expect(is_complete(g), f"{spec}: expected complete")
 
 
 def check_swap_transpose_classes() -> None:
@@ -125,7 +112,7 @@ def check_swap_transpose_classes() -> None:
     st, ts = s * t, t * s
     sts, tst = s * t * s, t * s * t
     stst = st * st
-    group = generate_position([gen_s(), gen_t()])
+    group = named_group("st")
     expect(
         group.elements == frozenset({identity, s, t, st, ts, sts, tst, stst}),
         "<s,t> element set is not {id, s, t, st, ts, sts, tst, stst}",
@@ -147,20 +134,13 @@ def check_burnside_cross() -> None:
     <s,t> x S4 computation reproduces term by term: total 384 over 192 = 2."""
     s_el = SymmetryElement.from_position(gen_s())
     t_el = SymmetryElement.from_position(gen_t())
-    st_group = generate_position([gen_s(), gen_t()])
-    c123 = generate_relabel([relabeling("(1 2 3)")])
-    groups = (
-        ("full", full_group()),
-        ("<s,t> x S4", direct_product(st_group, relabel_group())),
-        ("<r,t> x S4", direct_product(generate_position([gen_r(), gen_t()]), relabel_group())),
-        ("positions x <(123)>", direct_product(position_group(), c123)),
-        ("trivial", trivial_group()),
-    )
-    for name, g in groups:
+    for spec in ("full", "stxS4", "rtxS4", "H4xc123", "trivial"):
+        g = named_group(spec)
         b = burnside_orbit_count(g)
         d = orbits(g).block_count
-        expect(b == d, f"{name}: burnside {b} != direct {d}")
+        expect(b == d, f"{spec}: burnside {b} != direct {d}")
 
+    st_group = named_group("st")
     table = invariance_table(st_group)
     by_member: dict[SymmetryElement, tuple[int, int]] = {}
     for cls, count in table.rows:
@@ -203,7 +183,7 @@ def check_nests() -> None:
     got_h4 = {n.label: n.representative.text for n in position_nests}
     expect(got_h4 == H4_REPRESENTATIVES, f"position nest representatives differ: {got_h4}")
 
-    r2st = generate_position([gen_r2(), gen_s(), gen_t()])
+    r2st = named_group("r2st")
     r2st_partition = {frozenset(block) for block in orbits(r2st).blocks}
     expect(
         r2st_partition == nest_partition(position_nests),
@@ -232,26 +212,20 @@ def check_quotient_consistency() -> None:
     position symmetries)."""
     from itertools import combinations
 
-    position_pool = (("r", gen_r()), ("r2", gen_r2()), ("s", gen_s()), ("t", gen_t()))
-    for size in range(len(position_pool) + 1):
-        for subset in combinations(position_pool, size):
-            perms = [p for _, p in subset]
-            via_nests = completeness_via_nests(perms) if perms else False
-            direct = is_complete(direct_product(generate_position(perms), relabel_group()))
-            expect(
-                via_nests == direct,
-                f"position gens {[n for n, _ in subset]}: nests say {via_nests}, orbits say {direct}",
-            )
-    relabel_pool = default_relabel_pool()
-    for size in range(len(relabel_pool) + 1):
-        for subset in combinations(relabel_pool, size):
-            perms = [p for _, p in subset]
-            via_nests = completeness_via_nests(perms) if perms else False
-            direct = is_complete(direct_product(position_group(), generate_relabel(perms)))
-            expect(
-                via_nests == direct,
-                f"relabel gens {[n for n, _ in subset]}: nests say {via_nests}, orbits say {direct}",
-            )
+    cases = (
+        ("position", default_position_pool(), lambda ps: (generate_position(ps), relabel_group())),
+        ("relabel", default_relabel_pool(), lambda ps: (position_group(), generate_relabel(ps))),
+    )
+    for factor, pool, factors in cases:
+        for size in range(len(pool) + 1):
+            for subset in combinations(pool, size):
+                perms = [p for _, p in subset]
+                via_nests = completeness_via_nests(perms) if perms else False
+                direct = is_complete(direct_product(*factors(perms)))
+                expect(
+                    via_nests == direct,
+                    f"{factor} gens {[n for n, _ in subset]}: nests say {via_nests}, orbits say {direct}",
+                )
 
 
 def check_fixing_rules_exhaustive() -> None:
@@ -331,9 +305,7 @@ def check_action_and_relations() -> None:
                     f"action law fails for generator pair on {board.text}",
                 )
 
-    minimal = direct_product(
-        generate_position([s, t]), relabel_group()
-    ).sorted_elements()
+    minimal = named_group("stxS4").sorted_elements()
     type1 = reps[0]
     for a in minimal:
         for b_el in minimal:
@@ -400,7 +372,7 @@ def check_pinned_examples() -> None:
         sorted(len(c) for c in graph.components()) == [96, 192],
         "full orbit graph components are not 96 and 192 boards",
     )
-    rt_s4 = direct_product(generate_position([gen_r(), gen_t()]), relabel_group())
+    rt_s4 = named_group("rtxS4")
     expect(
         orbit_graph(named_generators(rt_s4)).component_count == 5,
         "<r,t> x S4 orbit graph does not have 5 components",

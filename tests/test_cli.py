@@ -164,6 +164,39 @@ def test_invalid_position_symmetry_in_file(tmp_path, capsys):
     assert "not a valid position symmetry" in err
 
 
+def test_invalid_position_symmetry_in_pool_file(tmp_path, capsys):
+    pool = tmp_path / "pool.txt"
+    pool.write_text("x=(1 2)\n")
+    code, out, err = run(capsys, "search", "--position-pool", str(pool))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "(1 2) is not a valid position symmetry" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["nest-graph", "--factor", "s4", "--gens", "s,t", "--dot", "{missing}/out.dot"],
+        ["export", "--group", "trivial", "--dot", "{missing}/out.dot"],
+        ["orbits", "--group", "{dir}"],
+    ],
+    ids=["nest-graph-dot", "export-dot", "group-directory"],
+)
+def test_os_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    paths = {"missing": tmp_path / "missing", "dir": tmp_path}
+    code, _, err = run(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unknown_position_generator(capsys):
+    code, out, err = run(capsys, "nest-graph", "--factor", "s4", "--gens", "q")
+    assert code == 2
+    assert out == ""
+    assert err == "error: unknown position generator 'q'; use r, r2, s, t\n"
+
+
 def test_unknown_group_spec(capsys):
     code, _, err = run(capsys, "orbits", "--group", "nonsense")
     assert code == 2

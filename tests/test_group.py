@@ -12,6 +12,7 @@ from shidoku.group import (
     generate_position,
     generate_relabel,
     is_subgroup,
+    named_group,
     parse_group_description,
     position_group,
     relabel_group,
@@ -43,6 +44,35 @@ def test_direct_product_orders():
     assert direct_product(st, relabel_group()).order == 192
     c123 = generate_relabel([relabeling("(1 2 3)")])
     assert direct_product(position_group(), c123).order == 384
+
+
+@pytest.mark.parametrize(
+    "spec, order",
+    [
+        ("full", 3072),
+        ("trivial", 1),
+        ("H4", 128),
+        ("st", 8),
+        ("rs", 64),
+        ("rt", 8),
+        ("r2st", 64),
+        ("S4", 24),
+        ("c123", 3),
+        ("stxS4", 192),
+        ("rtxS4", 192),
+        ("rsxc123", 192),
+        ("r2stxc123", 192),
+        ("H4xc123", 384),
+        ("H4xS4", 3072),
+    ],
+)
+def test_named_group_orders(spec, order):
+    assert named_group(spec).order == order
+
+
+@pytest.mark.parametrize("spec", ["S4xH4", "c123xst", "stxH4", "fullxS4", "x", "", "nonsense"])
+def test_named_group_rejects_non_shorthands(spec):
+    assert named_group(spec) is None
 
 
 def test_direct_product_rejects_mixed_factors():
