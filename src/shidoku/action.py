@@ -20,22 +20,17 @@ from .unionfind import components
 NamedElement = tuple[str, SymmetryElement]
 
 
-@lru_cache(maxsize=None)
-def _action_table(e: SymmetryElement) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(source, rename) lookup tables: output slot j takes rename[values[source[j]]].
-
-    source[j] is the 0-based cell whose value lands in 0-based slot j,
-    i.e. the preimage of j+1 under the cell permutation.
-    """
-    inv = e.pos.inverse()
-    source = tuple(inv.image[j] - 1 for j in range(16))
-    rename = (0,) + e.rel.image
-    return source, rename
-
-
 def apply_values(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]:
-    source, rename = _action_table(e)
-    return tuple(rename[values[i]] for i in source)
+    """The value in cell i lands in cell e.pos(i), renamed by e.rel.
+
+    Raises ValueError unless there are exactly 16 values; a 0 value
+    is moved but not renamed.
+    """
+    rename = (0,) + e.rel.image
+    out = [0] * 16
+    for target, v in zip(e.pos.image, values, strict=True):
+        out[target - 1] = rename[v]
+    return tuple(out)
 
 
 def apply(e: SymmetryElement, b: Board) -> Board:

@@ -77,7 +77,7 @@ def invariance_table(h: SymmetryGroup) -> InvarianceTable:
     """One row per conjugacy class of a position-only group.
 
     The count is computed on the class representative and asserted equal
-    across every member of the class.
+    on every other member of the class.
     """
     if not h.is_position_only():
         raise ValueError("invariance table wants a position-only group")
@@ -85,6 +85,8 @@ def invariance_table(h: SymmetryGroup) -> InvarianceTable:
     for cls in conjugacy_classes(h):
         count = invariant_count(cls.representative.pos)
         for member in cls.members:
+            if member == cls.representative:
+                continue
             other = invariant_count(member.pos)
             if other != count:
                 raise AssertionError(

@@ -55,7 +55,7 @@ def resolve_group(spec: str) -> SymmetryGroup:
     if group is not None:
         return group
     path = Path(spec)
-    if path.exists():
+    if spec and path.exists():
         try:
             gens = parse_group_description(path.read_text())
         except ValueError as exc:

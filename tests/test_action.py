@@ -45,6 +45,13 @@ def test_apply_transpose_example():
     assert apply(SymmetryElement.identity(), b) == b
 
 
+def test_apply_rejects_wrong_length_boards():
+    t = SymmetryElement.from_position(gen_t())
+    for values in ((1, 2, 3, 4) * 4 + (9,), (1, 2, 3, 4) * 3 + (1, 2, 3)):
+        with pytest.raises(ValueError):
+            apply(t, Board(values))
+
+
 def test_apply_matches_definition_oracle_on_all_boards():
     for e in full_generators():
         for b in enumerate_all():

@@ -198,9 +198,10 @@ def test_unknown_position_generator(capsys):
 
 
 def test_unknown_group_spec(capsys):
-    code, _, err = run(capsys, "orbits", "--group", "nonsense")
-    assert code == 2
-    assert "unknown group spec" in err
+    for spec in ("nonsense", ""):
+        code, _, err = run(capsys, "orbits", "--group", spec)
+        assert code == 2
+        assert "unknown group spec" in err
 
 
 def test_bad_relabel_token(capsys):
