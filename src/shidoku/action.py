@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .board import Board, enumerate_all, validate
 from .group import SymmetryGroup, full_group
@@ -23,13 +23,16 @@ NamedElement = tuple[str, SymmetryElement]
 def apply_values(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]:
     """The value in cell i lands in cell e.pos(i), renamed by e.rel.
 
-    Raises ValueError unless there are exactly 16 values; a 0 value
-    is moved but not renamed.
+    Raises ValueError unless there are exactly 16 values, or on a value
+    above 4; a 0 value is moved but not renamed.
     """
     rename = (0,) + e.rel.image
     out = [0] * 16
-    for target, v in zip(e.pos.image, values, strict=True):
-        out[target - 1] = rename[v]
+    try:
+        for target, v in zip(e.pos.image, values, strict=True):
+            out[target - 1] = rename[v]
+    except IndexError:
+        raise ValueError(f"board value {v} out of range 0..4") from None
     return tuple(out)
 
 
@@ -74,16 +77,15 @@ class OrbitPartition:
         return self.index[b]
 
 
-def orbits(g: SymmetryGroup, boards: Sequence[Board] | None = None) -> OrbitPartition:
-    """Orbit partition of the boards under g.
+def orbits(g: SymmetryGroup) -> OrbitPartition:
+    """Orbit partition of the 288 boards under g.
 
     Union-find over generator applications; generators suffice because
     orbits under a group equal connected components under its generators.
     The generators are trusted to generate g.elements: nothing checks it,
     so a hand-built group whose generators fall short gets finer blocks.
     """
-    if boards is None:
-        boards = enumerate_all()
+    boards = enumerate_all()
     movers = g.generators if g.generators else tuple(g.elements)
     pairs = ((b, apply(e, b)) for e in movers for b in boards)
     blocks = tuple(tuple(block) for block in components(boards, pairs))
@@ -133,18 +135,14 @@ class OrbitGraph:
         return len(self.components())
 
 
-def orbit_graph(
-    gens: Iterable[NamedElement | SymmetryElement],
-    boards: Sequence[Board] | None = None,
-) -> OrbitGraph:
+def orbit_graph(gens: Iterable[NamedElement | SymmetryElement]) -> OrbitGraph:
     """Graph with one node per board and one labeled edge per
     (board, generator) application.
 
     Generators may be (label, element) pairs or bare elements, which get
     default labels.
     """
-    if boards is None:
-        boards = enumerate_all()
+    boards = enumerate_all()
     named = tuple(
         (element_label(g), g) if isinstance(g, SymmetryElement) else (g[0], g[1])
         for g in gens
@@ -154,7 +152,7 @@ def orbit_graph(
         directed = not (e * e).is_identity
         for b in boards:
             edges.append(OrbitEdge(b, apply(e, b), name, directed))
-    return OrbitGraph(tuple(boards), tuple(edges))
+    return OrbitGraph(boards, tuple(edges))
 
 
 def element_label(e: SymmetryElement) -> str:

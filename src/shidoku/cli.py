@@ -190,20 +190,18 @@ def cmd_nest_graph(args) -> int:
     return 0
 
 
-def cmd_search(args) -> int:
+def _read_pool(path: str | None, degree: int):
+    if not path:
+        return None
     try:
-        position_pool = (
-            parse_pool_file(Path(args.position_pool).read_text(), 16)
-            if args.position_pool
-            else None
-        )
-        relabel_pool = (
-            parse_pool_file(Path(args.relabel_pool).read_text(), 4)
-            if args.relabel_pool
-            else None
-        )
+        return parse_pool_file(Path(path).read_text(), degree)
     except ValueError as exc:
-        raise CliError(str(exc)) from exc
+        raise CliError(f"{path}: {exc}") from exc
+
+
+def cmd_search(args) -> int:
+    position_pool = _read_pool(args.position_pool, 16)
+    relabel_pool = _read_pool(args.relabel_pool, 4)
     if position_pool is not None:
         _check_position_symmetries(args.position_pool, (p for _, p in position_pool))
     results = search_products(position_pool, relabel_pool)

@@ -22,8 +22,6 @@ from .perm import (
     standard_position_generators,
 )
 
-FULL_GROUP_ORDER = 3072
-
 
 @dataclass(frozen=True)
 class SymmetryGroup:

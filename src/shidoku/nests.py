@@ -46,8 +46,8 @@ H4_REPRESENTATIVES: dict[str, str] = {
     "f": "1342421331242431",
 }
 
-S4_NEST_LABELS = tuple(S4_REPRESENTATIVES)
-H4_NEST_LABELS = tuple(H4_REPRESENTATIVES)
+_S4_LABELS = {Board.from_text(text): label for label, text in S4_REPRESENTATIVES.items()}
+_H4_LABELS = {Board.from_text(text): label for label, text in H4_REPRESENTATIVES.items()}
 
 
 @dataclass(frozen=True)
@@ -193,62 +193,38 @@ def h4_orbit_canonical(b: Board) -> Board:
     return Board(matches[0])
 
 
-def _nests_by(canonical, labels_for) -> tuple[Nest, ...]:
+def _nests(canonical, labels: dict[Board, str], what: str) -> tuple[Nest, ...]:
+    """Group every board by canonical(b); each nest takes its label from
+    the pinned table, which must hold exactly the computed representatives."""
     grouped: dict[Board, list[Board]] = {}
     for b in enumerate_all():
         grouped.setdefault(canonical(b), []).append(b)
-    labeled = labels_for(grouped)
-    return tuple(
-        Nest(label, rep, tuple(sorted(grouped[rep])))
-        for label, rep in sorted(labeled.items())
-    )
+    if grouped.keys() != labels.keys():
+        raise AssertionError(f"computed {what}-orbit representatives changed")
+    nests = (Nest(labels[rep], rep, tuple(sorted(members))) for rep, members in grouped.items())
+    return tuple(sorted(nests, key=lambda n: n.label))
 
 
 @lru_cache(maxsize=1)
 def s4_nests() -> tuple[Nest, ...]:
-    """The twelve relabeling-orbits, labeled A-L, each of size 24."""
-
-    def labels_for(grouped: dict[Board, list[Board]]) -> dict[str, Board]:
-        want = {Board.from_text(text): label for label, text in S4_REPRESENTATIVES.items()}
-        if set(grouped) != set(want):
-            raise AssertionError("computed relabeling-orbit representatives changed")
-        return {label: rep for rep, label in want.items()}
-
-    return _nests_by(s4_canonicalize, labels_for)
+    """The twelve relabeling-orbits, labeled A-L by S4_REPRESENTATIVES,
+    each of size 24."""
+    return _nests(s4_canonicalize, _S4_LABELS, "relabeling")
 
 
 @lru_cache(maxsize=1)
 def h4_nests() -> tuple[Nest, ...]:
-    """The six position-orbits, labeled a-f by lexicographic order of
-    their representatives."""
-
-    def labels_for(grouped: dict[Board, list[Board]]) -> dict[str, Board]:
-        reps = sorted(grouped)
-        labeled = dict(zip(H4_NEST_LABELS, reps))
-        want = {label: Board.from_text(text) for label, text in H4_REPRESENTATIVES.items()}
-        if labeled != want:
-            raise AssertionError("computed position-orbit representatives changed")
-        return labeled
-
-    return _nests_by(h4_canonicalize, labels_for)
+    """The six position-orbits, labeled a-f by H4_REPRESENTATIVES (which
+    follow lexicographic order of the representatives)."""
+    return _nests(h4_canonicalize, _H4_LABELS, "position")
 
 
 def s4_nest_of(b: Board) -> str:
-    return _s4_label_index()[s4_canonicalize(b)]
+    return _S4_LABELS[s4_canonicalize(b)]
 
 
 def h4_nest_of(b: Board) -> str:
-    return _h4_label_index()[h4_canonicalize(b)]
-
-
-@lru_cache(maxsize=1)
-def _s4_label_index() -> dict[Board, str]:
-    return {n.representative: n.label for n in s4_nests()}
-
-
-@lru_cache(maxsize=1)
-def _h4_label_index() -> dict[Board, str]:
-    return {n.representative: n.label for n in h4_nests()}
+    return _H4_LABELS[h4_canonicalize(b)]
 
 
 def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
@@ -289,7 +265,7 @@ def s4_nest_graph(gens: Iterable) -> NestGraph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 16, s4_nests(), _s4_label_index(),
+        gens, 16, s4_nests(), _S4_LABELS,
         SymmetryElement.from_position, s4_canonicalize_with_relabeling,
     )
 
@@ -301,7 +277,7 @@ def h4_nest_graph(gens: Iterable) -> NestGraph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 4, h4_nests(), _h4_label_index(),
+        gens, 4, h4_nests(), _H4_LABELS,
         SymmetryElement.from_relabeling, h4_canonicalize_with_transform,
     )
 

@@ -45,11 +45,13 @@ def test_apply_transpose_example():
     assert apply(SymmetryElement.identity(), b) == b
 
 
-def test_apply_rejects_wrong_length_boards():
+def test_apply_rejects_malformed_boards():
     t = SymmetryElement.from_position(gen_t())
     for values in ((1, 2, 3, 4) * 4 + (9,), (1, 2, 3, 4) * 3 + (1, 2, 3)):
         with pytest.raises(ValueError):
             apply(t, Board(values))
+    with pytest.raises(ValueError, match="9"):
+        apply(t, Board.from_text("1234341221434329"))
 
 
 def test_apply_matches_definition_oracle_on_all_boards():

@@ -164,6 +164,15 @@ def test_invalid_position_symmetry_in_file(tmp_path, capsys):
     assert "not a valid position symmetry" in err
 
 
+def test_bad_pool_file_is_named(tmp_path, capsys):
+    pool = tmp_path / "p.txt"
+    pool.write_text("b=(1 5)\n")
+    code, out, err = run(capsys, "search", "--relabel-pool", str(pool))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {pool}: cycle element 5 out of range 1..4\n"
+
+
 def test_invalid_position_symmetry_in_pool_file(tmp_path, capsys):
     pool = tmp_path / "pool.txt"
     pool.write_text("x=(1 2)\n")

@@ -214,6 +214,11 @@ def test_nest_lookup_helpers():
     assert s4_nest_of(Board.from_text(TYPE1_TEXT)) == "B"
     assert h4_nest_of(Board.from_text(TYPE1_TEXT)) == "a"
     assert h4_nest_of(Board.from_text(TYPE2_TEXT)) == "d"  # one of the size-64 nests
+    # the lookups read the pinned tables; on every board they name the
+    # computed nest that holds it
+    for nests, nest_of in ((s4_nests(), s4_nest_of), (h4_nests(), h4_nest_of)):
+        holder = {b: n.label for n in nests for b in n.members}
+        assert {b: nest_of(b) for b in enumerate_all()} == holder
     graph = s4_nest_graph(())
     with pytest.raises(KeyError):
         graph.nest("Z")
