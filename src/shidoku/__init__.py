@@ -42,7 +42,7 @@ from .nests import (
     s4_nest_graph,
     s4_nests,
 )
-from .search import minimal_order, search_products, verify_no_single_factor
+from .search import minimal_order, search_products
 from .graphio import export_nest_graph, export_orbit_graph
 
 __all__ = [
@@ -93,5 +93,4 @@ __all__ = [
     "search_products",
     "trivial_group",
     "validate",
-    "verify_no_single_factor",
 ]

@@ -219,12 +219,18 @@ def h4_nests() -> tuple[Nest, ...]:
     return _nests(h4_canonicalize, _H4_LABELS, "position")
 
 
+def _nest_of(b: Board, canonical, labels: dict[Board, str]) -> str:
+    if not b.is_valid():
+        raise ValueError(f"not a valid Shidoku board: {b.text}")
+    return labels[canonical(b)]
+
+
 def s4_nest_of(b: Board) -> str:
-    return _S4_LABELS[s4_canonicalize(b)]
+    return _nest_of(b, s4_canonicalize, _S4_LABELS)
 
 
 def h4_nest_of(b: Board) -> str:
-    return _H4_LABELS[h4_canonicalize(b)]
+    return _nest_of(b, h4_canonicalize, _H4_LABELS)
 
 
 def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .group import SymmetryGroup, direct_product, generate_position, generate_relabel
+from .group import direct_product, generate_position, generate_relabel
 from .perm import RELABEL_GENERATOR_NAMES, Perm, relabeling, standard_position_generators
-from .action import full_partition, is_complete, orbits
+from .action import full_partition, orbits
 
 NamedPerm = tuple[str, Perm]
 
@@ -108,21 +108,6 @@ def search_products(
                 )
             )
     return tuple(sorted(results, key=lambda res: (res.order, res.label)))
-
-
-def verify_no_single_factor(g: SymmetryGroup) -> bool:
-    """Standing assertion that completeness requires mixing the factors.
-
-    True iff g, when complete, contains both a nontrivial position part
-    and a nontrivial relabel part.  Single-factor groups (all position
-    symmetries alone, order 128; all relabelings alone, order 24) fall
-    below the order-192 bound and are never complete.
-    """
-    if not is_complete(g):
-        return True
-    has_position = any(not e.pos.is_identity for e in g.elements)
-    has_relabel = any(not e.rel.is_identity for e in g.elements)
-    return has_position and has_relabel
 
 
 def parse_pool_file(text: str, degree: int) -> tuple[NamedPerm, ...]:

@@ -1,8 +1,11 @@
 """End-to-end reproduction checks for the package's headline results.
 
-Each check is exact (integer counts, set equality); there are no
-tolerances anywhere.  The CLI `verify` subcommand and the acceptance
-test module both run this list.
+This is the only place the paper's results are asserted; the unit tests
+check implementation properties (parsers, error paths, oracle
+comparisons, algebraic laws) and do not repeat these facts.  Each check
+is exact (integer counts, set equality); there are no tolerances
+anywhere.  The CLI `verify` subcommand and the acceptance test module
+both run this list.
 """
 
 from __future__ import annotations
@@ -300,10 +303,6 @@ def check_pinned_examples() -> None:
     expect(
         gen_s().cycle_notation() == "(9 13)(10 14)(11 15)(12 16)",
         f"row-swap cycle form changed: {gen_s().cycle_notation()}",
-    )
-    expect(
-        Perm.from_cycles("(9 13)(10 14)(11 15)(12 16)", 16) == gen_s(),
-        "cycle parsing does not reproduce the row swap",
     )
 
     expect(

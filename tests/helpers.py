@@ -82,4 +82,3 @@ def enumerate_by_row_products() -> list[Board]:
 TYPE1_TEXT = "1234341221434321"
 TYPE2_TEXT = "1234341223414123"
 INVARIANT_UNDER_TRANSPOSE_TEXT = "1243342143122134"  # its transpose relabels back via (2 3)
-TRANSPOSED_TEXT = "1342243142133124"  # the transpose of the board above

@@ -23,32 +23,12 @@ def word(*letters: Perm) -> Perm:
     return out
 
 
-def test_transpose_cycle_form():
-    assert gen_t().cycle_notation() == "(2 5)(3 9)(4 13)(7 10)(8 14)(12 15)"
-
-
-def test_row_swap_cycle_form():
-    assert gen_s().cycle_notation() == "(9 13)(10 14)(11 15)(12 16)"
-
-
 def test_rotation_is_the_clockwise_grid_map():
     r = gen_r()
     for cell in range(1, 17):
         i, j = coords(cell)
         assert r(cell) == cell_at(j, 5 - i)
     assert r.order() == 4
-
-
-def test_generator_relations():
-    # generator relations; they also pin the right-factor-first convention
-    r, s, t = gen_r(), gen_s(), gen_t()
-    assert word(r, r, r, r).is_identity
-    assert word(s, s).is_identity
-    assert word(t, t).is_identity
-    assert word(t, r, t, r).is_identity
-    assert word(r, r, s, r, t, s, r, r, r, t).is_identity
-    assert word(t, s, t, s, t, s, t, s).is_identity
-    assert word(s, r, s, r, r, r, s, r, s, r, r, r).is_identity
 
 
 def test_compose_right_factor_first():

@@ -5,9 +5,6 @@ from shidoku.group import (
     direct_product,
     generate_position,
     generate_relabel,
-    full_group,
-    position_group,
-    relabel_group,
 )
 from shidoku.action import full_partition, orbits
 from shidoku.search import (
@@ -16,7 +13,6 @@ from shidoku.search import (
     minimal_order,
     parse_pool_file,
     search_products,
-    verify_no_single_factor,
 )
 
 
@@ -34,7 +30,6 @@ def result_for(results, position_gens, relabel_gens):
 
 
 def test_minimal_order():
-    assert minimal_order() == 192
     assert minimal_order() == max(full_partition().sizes())
     assert 3072 % minimal_order() == 0
 
@@ -91,8 +86,8 @@ def test_search_deduplicates_by_element_sets(results):
     assert len(results) == 156  # distinct factor-group pairs from the default pools
 
 
-def test_search_is_deterministic():
-    assert search_products() == search_products()
+def test_search_is_deterministic(results):
+    assert search_products() == results
 
 
 def test_search_orders_are_products_of_factor_orders(results):
@@ -111,15 +106,6 @@ def test_search_with_custom_pools():
     orders = sorted(res.order for res in results)
     assert orders == [1, 2, 2, 3, 6, 6, 8, 24]
     assert not any(res.complete for res in results)
-
-
-def test_verify_no_single_factor():
-    assert verify_no_single_factor(position_group())
-    assert verify_no_single_factor(relabel_group())
-    assert verify_no_single_factor(full_group())
-    # both single factors sit below the completeness bound
-    assert position_group().order == 128 < MINIMAL_COMPLETE_ORDER
-    assert relabel_group().order == 24 < MINIMAL_COMPLETE_ORDER
 
 
 def test_parse_pool_file():
