@@ -26,7 +26,6 @@ from .action import apply, is_complete, is_position_symmetry, orbit_graph, orbit
 from .burnside import (
     burnside_orbit_count,
     check_fixing_lemmas,
-    fixed_points,
     invariance_table,
     invariant_count,
     relabel_recovery,
@@ -63,7 +62,6 @@ __all__ = [
     "enumerate_all",
     "export_nest_graph",
     "export_orbit_graph",
-    "fixed_points",
     "full_group",
     "gen_r",
     "gen_r2",

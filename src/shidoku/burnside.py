@@ -1,62 +1,71 @@
 """Fixed-point counting and orbit counts via the averaging lemma.
 
-A board B is invariant under a cell permutation x when some relabeling
-sigma undoes it: sigma(x(B)) = B.  Relabelings act freely on valid
-boards (the first row carries every value), so that sigma is unique when
-it exists.
+A board B is fixed by (x, sigma) exactly when sigma undoes the cell move
+x: sigma(x(B)) = B.  Relabelings act freely on valid boards (the first
+row carries every value), so that sigma is unique when it exists; one
+relabel_recovery pass over the boards per cell permutation x counts the
+fixed boards of every element (x, sigma) at once.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .board import Board, REGIONS, enumerate_all
 from .group import ConjugacyClass, SymmetryGroup, conjugacy_classes
 from .perm import Perm, SymmetryElement
-from .action import apply_values, position_apply
 
 
 def relabel_recovery(x: Perm, b: Board) -> Perm | None:
     """The unique relabeling sigma with sigma(x(b)) = b, or None.
 
-    Reads the required value map off the moved board; inconsistencies or
-    a non-bijective map mean no relabeling can undo x on this board.
+    sigma must send b[i] to b[x(i)], and a 0 (never renamed) onto a 0.
+    Raises ValueError, as apply does, unless b has exactly 16 values, or
+    on a value above 4.
     """
-    moved = position_apply(x, b.values)
-    mapping = [0] * 5
-    for mv, bv in zip(moved, b.values):
-        if mapping[mv] == 0:
-            mapping[mv] = bv
-        elif mapping[mv] != bv:
-            return None
-    image = tuple(mapping[1:])
-    if sorted(image) != [1, 2, 3, 4]:
-        return None
-    return Perm(image)
+    values = b.values
+    sigma: list[int | None] = [0, None, None, None, None]
+    consistent = True
+    try:
+        for v, w in zip(values, (values[j - 1] for j in x.image), strict=True):
+            if sigma[v] is None:
+                sigma[v] = w
+            elif sigma[v] != w:
+                consistent = False
+    except IndexError:
+        raise ValueError(f"not 16 board values up to 4: {values!r}") from None
+    image = tuple(sigma[1:])
+    return Perm(image) if consistent and set(image) == {1, 2, 3, 4} else None
+
+
+def _recoveries(x: Perm) -> Counter[Perm]:
+    """How many boards each relabeling sigma fixes together with x."""
+    return Counter(s for b in enumerate_all() if (s := relabel_recovery(x, b)) is not None)
 
 
 def invariant_count(x: Perm) -> int:
     """Number of boards invariant under x up to relabeling."""
-    return sum(1 for b in enumerate_all() if relabel_recovery(x, b) is not None)
+    return _recoveries(x).total()
 
 
 def fixed_points(e: SymmetryElement) -> int:
     """Number of boards b with apply(e, b) == b."""
-    return sum(1 for b in enumerate_all() if apply_values(e, b.values) == b.values)
+    return _recoveries(e.pos)[e.rel]
 
 
 def burnside_orbit_count(g: SymmetryGroup) -> int:
     """Orbit count as the average fixed-point count over g.
 
-    Sums fixed_points over every element (the reference slow path) and
-    divides by |g|; raises ValueError if the sum is not divisible, which
-    would indicate an action bug or a non-group input.
+    (x, sigma) fixes b exactly when relabel_recovery(x, b) is sigma, so
+    one recovery pass per distinct position part counts the fixed boards
+    of every element, product or not.  Raises ValueError if the total is
+    not divisible by |g| (an action bug or a non-group input).
     """
-    total = sum(fixed_points(e) for e in g.elements)
+    recoveries = {x: _recoveries(x) for x in {e.pos for e in g.elements}}
+    total = sum(recoveries[e.pos][e.rel] for e in g.elements)
     if total % g.order != 0:
-        raise ValueError(
-            f"fixed-point total {total} not divisible by group order {g.order}"
-        )
+        raise ValueError(f"fixed-point total {total} not divisible by group order {g.order}")
     return total // g.order
 
 
@@ -101,17 +110,11 @@ def check_fixing_lemmas(x: Perm, b: Board) -> bool:
     sigma = relabel_recovery(x, b)
     if sigma is None:
         raise ValueError("board is not invariant under x; fixing rules do not apply")
-    for i in range(1, 17):
-        if x(i) == i and sigma(b.value_at(i)) != b.value_at(i):
-            return False
-    for region in REGIONS:
-        if all(x(c) == c for c in region) and not sigma.is_identity:
-            return False
-    for n in (1, 2, 3, 4):
-        if sigma(n) != n:
-            continue
-        for i in range(1, 17):
-            if b.value_at(i) == n and b.value_at(x(i)) != n:
-                return False
-    return True
+    fixed = {i for i in range(1, 17) if x(i) == i}
+    value = b.value_at
+    return (
+        all(sigma(value(i)) == value(i) for i in fixed)
+        and (sigma.is_identity or not any(fixed.issuperset(region) for region in REGIONS))
+        and all(value(x(i)) == value(i) for i in range(1, 17) if sigma(value(i)) == value(i))
+    )
 

@@ -210,13 +210,12 @@ def check_fixing_rules_exhaustive() -> None:
     pairs = 0
     for e in position_group().sorted_elements():
         for b in enumerate_all():
-            if relabel_recovery(e.pos, b) is None:
-                continue
-            pairs += 1
-            expect(
-                check_fixing_lemmas(e.pos, b),
-                f"fixing rules fail for x={e.pos.cycle_notation() or '()'} on {b.text}",
-            )
+            if relabel_recovery(e.pos, b) is not None:
+                pairs += 1
+                if not check_fixing_lemmas(e.pos, b):
+                    raise AssertionError(
+                        f"fixing rules fail for x={e.pos.cycle_notation() or '()'} on {b.text}"
+                    )
     expect(pairs > 0, "no invariant pairs found; the scan is broken")
 
 
@@ -261,14 +260,16 @@ def check_action_and_relations() -> None:
     boards = enumerate_all()
     identity = SymmetryElement.identity()
     for b in boards:
-        expect(apply(identity, b) == b, f"identity moved board {b.text}")
+        if apply(identity, b) != b:
+            raise AssertionError(f"identity moved board {b.text}")
 
     generators = position_elements([r, s, t]) + [
         SymmetryElement.from_relabeling(p) for p in relabel_generators()
     ]
     for e in generators:
         for b in boards:
-            expect(validate(apply(e, b).values), f"generator broke board {b.text}")
+            if not validate(apply(e, b).values):
+                raise AssertionError(f"generator broke board {b.text}")
 
     reps = (Board.from_text(TYPE1_REPRESENTATIVE), Board.from_text(TYPE2_REPRESENTATIVE))
     full_elements = full_group().sorted_elements()
@@ -276,10 +277,8 @@ def check_action_and_relations() -> None:
         for b_el in full_elements:
             ab = a * b_el
             for board in reps:
-                expect(
-                    apply(ab, board) == apply(a, apply(b_el, board)),
-                    f"action law fails for generator pair on {board.text}",
-                )
+                if apply(ab, board) != apply(a, apply(b_el, board)):
+                    raise AssertionError(f"action law fails for generator pair on {board.text}")
 
     minimal = named_group("stxS4").sorted_elements()
     type1 = reps[0]

@@ -2,15 +2,16 @@
 
 These deliberately avoid the production code paths: the action oracle
 writes values into destination cells directly from the definition, the
-orbit oracle is plain BFS instead of union-find, and the recovery oracle
-tries all 24 relabelings.
+orbit oracle is plain BFS instead of union-find, the recovery oracle
+tries all 24 relabelings, and the fixed-point oracle applies an element
+to every board.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from shidoku.board import Board, validate
+from shidoku.board import Board, enumerate_all, validate
 from shidoku.perm import Perm, SymmetryElement
 
 
@@ -57,6 +58,11 @@ def oracle_recoveries(x: Perm, b: Board) -> list[Perm]:
         if oracle_apply(e, b.values) == b.values:
             found.append(sigma)
     return found
+
+
+def oracle_fixed_points(e: SymmetryElement) -> int:
+    """Number of boards b with e(b) == b, by applying e to every board."""
+    return sum(1 for b in enumerate_all() if oracle_apply(e, b.values) == b.values)
 
 
 def enumerate_by_row_products() -> list[Board]:

@@ -5,11 +5,14 @@ from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, rel
 from shidoku.group import (
     SymmetryGroup,
     conjugacy_classes,
+    generate,
     generate_position,
+    named_group,
     position_group,
     relabel_group,
     trivial_group,
 )
+from shidoku.action import apply
 from shidoku.burnside import (
     burnside_orbit_count,
     check_fixing_lemmas,
@@ -18,7 +21,12 @@ from shidoku.burnside import (
     invariant_count,
     relabel_recovery,
 )
-from helpers import INVARIANT_UNDER_TRANSPOSE_TEXT, oracle_apply, oracle_recoveries
+from helpers import (
+    INVARIANT_UNDER_TRANSPOSE_TEXT,
+    TYPE1_TEXT,
+    oracle_fixed_points,
+    oracle_recoveries,
+)
 
 FIG_BOARD = Board.from_text(INVARIANT_UNDER_TRANSPOSE_TEXT)
 
@@ -54,21 +62,56 @@ def test_recovery_matches_brute_force_oracle():
             assert got == (brute[0] if brute else None)
 
 
+def test_recovery_rejects_malformed_boards():
+    # as apply does: a wrong length or a value above 4 raises, never None
+    values = Board.from_text(TYPE1_TEXT).values
+    bad = (Board(values[:15]), Board(values + (1,)), Board.from_text("1234341221434329"))
+    for x in (Perm.identity(16), gen_s(), gen_t()):
+        for b in bad:
+            with pytest.raises(ValueError):
+                apply(SymmetryElement.from_position(x), b)
+            with pytest.raises(ValueError):
+                relabel_recovery(x, b)
+
+
+def test_recovery_agrees_with_apply_on_zero_values():
+    # a 0 value is moved but never renamed, so sigma must send it onto a 0
+    relabelings = [e.rel for e in relabel_group().sorted_elements()]
+    for cell, b in enumerate(enumerate_all()[::18]):
+        holed = Board(b.values[:cell] + (0,) + b.values[cell + 1 :])
+        for e in position_group().sorted_elements():
+            found = [s for s in relabelings if apply(SymmetryElement(e.pos, s), holed) == holed]
+            assert relabel_recovery(e.pos, holed) == (found[0] if found else None)
+
+
 def test_fixed_points():
-    assert fixed_points(SymmetryElement.identity()) == 288
     t23 = SymmetryElement(gen_t(), relabeling("(2 3)"))
-    brute = sum(1 for b in enumerate_all() if oracle_apply(t23, b.values) == b.values)
-    assert fixed_points(t23) == brute == 8
-    assert fixed_points(SymmetryElement.from_position(gen_s())) == 0
-    assert fixed_points(SymmetryElement.from_position(gen_r2())) == 24
+    assert oracle_fixed_points(SymmetryElement.identity()) == 288
+    assert oracle_fixed_points(t23) == 8
+    assert oracle_fixed_points(SymmetryElement.from_position(gen_s())) == 0
+    assert oracle_fixed_points(SymmetryElement.from_position(gen_r2())) == 24
+    for e in named_group("stxS4").sorted_elements()[::7]:
+        assert fixed_points(e) == oracle_fixed_points(e)
 
 
 def test_fixed_point_decomposition():
     # summing over all relabelings recovers the invariant count
     relabelings = [SymmetryElement.from_relabeling(e.rel) for e in relabel_group().elements]
     for x in (Perm.identity(16), gen_s(), gen_t(), gen_r(), gen_r2()):
-        total = sum(fixed_points(SymmetryElement(x, e.rel)) for e in relabelings)
+        total = sum(oracle_fixed_points(SymmetryElement(x, e.rel)) for e in relabelings)
         assert total == invariant_count(x)
+
+
+def test_burnside_matches_oracle_average():
+    # the non-product group has order 24, below 8 * 6 for its projections
+    non_product = generate(
+        [SymmetryElement(gen_t(), relabeling("(2 3)")), SymmetryElement(gen_s(), relabeling("(1 2)"))]
+    )
+    assert non_product.order == 24
+    for g in (named_group("stxS4"), named_group("rtxS4"), trivial_group(), non_product):
+        total = sum(oracle_fixed_points(e) for e in g.elements)
+        assert total % g.order == 0
+        assert burnside_orbit_count(g) == total // g.order
 
 
 def test_burnside_rejects_non_groups():

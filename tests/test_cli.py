@@ -4,6 +4,8 @@ import pytest
 
 from shidoku import cli
 from shidoku.graphio import dot_component_count, parse_dot
+from shidoku.nests import h4_nest_graph, s4_nest_graph
+from shidoku.perm import gen_r, gen_s, gen_t, relabeling
 
 
 def run(capsys, *argv):
@@ -63,6 +65,20 @@ def test_burnside_table(capsys):
     ]
 
 
+def test_burnside_full_group_and_non_product_file(tmp_path, capsys):
+    path = tmp_path / "group.txt"
+    path.write_text(
+        "generators:\n"
+        "pos=(2 5)(3 9)(4 13)(7 10)(8 14)(12 15); rel=(2 3)\n"
+        "pos=(9 13)(10 14)(11 15)(12 16); rel=(1 2)\n"
+    )
+    for spec in ("full", str(path)):
+        code, out, _ = run(capsys, "burnside", "--group", spec, "--format", "json")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["orbits_burnside"] == payload["orbits_direct"]
+
+
 def test_burnside_json(capsys):
     code, out, _ = run(capsys, "burnside", "--group", "stxS4", "--format", "json")
     assert code == 0
@@ -85,18 +101,16 @@ def test_nests_reports(capsys):
 
 
 def test_nest_graph_components(capsys):
-    code, out, _ = run(capsys, "nest-graph", "--factor", "s4", "--gens", "s,t")
-    assert code == 0
-    assert out.strip() == "components: 2"
-
-    code, out, _ = run(capsys, "nest-graph", "--factor", "s4", "--gens", "r,t")
-    assert out.strip() == "components: 5"
-
-    code, out, _ = run(capsys, "nest-graph", "--factor", "h4", "--gens", "(12),(23)")
-    assert out.strip() == "components: 2"
-
-    code, out, _ = run(capsys, "nest-graph", "--factor", "h4", "--gens", "(1 2 3)")
-    assert out.strip() == "components: 2"
+    cases = (
+        ("s4", "s,t", s4_nest_graph([gen_s(), gen_t()])),
+        ("s4", "r,t", s4_nest_graph([gen_r(), gen_t()])),
+        ("h4", "(12),(23)", h4_nest_graph([relabeling("(1 2)"), relabeling("(2 3)")])),
+        ("h4", "(1 2 3)", h4_nest_graph([relabeling("(1 2 3)")])),
+    )
+    for factor, gens, graph in cases:
+        code, out, _ = run(capsys, "nest-graph", "--factor", factor, "--gens", gens)
+        assert code == 0
+        assert out.strip() == f"components: {graph.component_count}"
 
 
 def test_nest_graph_writes_dot(tmp_path, capsys):
