@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable
 
-from .board import Board, enumerate_all, validate
+from .board import Board, board_numbers, enumerate_all, validate
 from .group import SymmetryGroup, full_group
 from .perm import Perm, SymmetryElement, perm_label, standard_name
 from .unionfind import components
@@ -24,14 +24,15 @@ def apply_values(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]
     """The value in cell i lands in cell e.pos(i), renamed by e.rel.
 
     Raises ValueError unless there are exactly 16 values, or on a value
-    above 4; a 0 value is moved but not renamed.
+    below 0 or above 4; a 0 value is moved but not renamed.
     """
-    rename = (0,) + e.rel.image
+    r = e.rel.image
+    rename = {0: 0, 1: r[0], 2: r[1], 3: r[2], 4: r[3]}
     out = [0] * 16
     try:
         for target, v in zip(e.pos.image, values, strict=True):
             out[target - 1] = rename[v]
-    except IndexError:
+    except KeyError:
         raise ValueError(f"board value {v} out of range 0..4") from None
     return tuple(out)
 
@@ -77,20 +78,38 @@ class OrbitPartition:
         return self.index[b]
 
 
+def board_image(e: SymmetryElement) -> tuple[int, ...]:
+    """e as a map on board numbers (board.board_numbers): entry k is the
+    number of e applied to board k.  Raises ValueError naming e if e moves
+    a valid board to an invalid one."""
+    numbers = board_numbers()
+    try:
+        return tuple([numbers[apply_values(e, b.values)] for b in enumerate_all()])
+    except KeyError as missing:
+        moved = Board(missing.args[0])
+        raise ValueError(f"symmetry {e} moves a board to {moved}, not a valid board") from None
+
+
+def partition(images: Iterable[tuple[int, ...]]) -> OrbitPartition:
+    """Orbit partition under the group that these board images generate."""
+    boards = enumerate_all()
+    pairs = (pair for image in images for pair in enumerate(image))
+    # board numbers sort as the boards do, so blocks come out sorted
+    blocks = tuple(tuple(map(boards.__getitem__, b)) for b in components(range(len(boards)), pairs))
+    index = {b: k for k, block in enumerate(blocks) for b in block}
+    return OrbitPartition(blocks, index)
+
+
 def orbits(g: SymmetryGroup) -> OrbitPartition:
     """Orbit partition of the 288 boards under g.
 
-    Union-find over generator applications; generators suffice because
-    orbits under a group equal connected components under its generators.
+    Union-find over generator images; generators suffice because orbits
+    under a group equal connected components under its generators.
     The generators are trusted to generate g.elements: nothing checks it,
     so a hand-built group whose generators fall short gets finer blocks.
     """
-    boards = enumerate_all()
     movers = g.generators if g.generators else tuple(g.elements)
-    pairs = ((b, apply(e, b)) for e in movers for b in boards)
-    blocks = tuple(tuple(block) for block in components(boards, pairs))
-    index = {b: k for k, block in enumerate(blocks) for b in block}
-    return OrbitPartition(blocks, index)
+    return partition(board_image(e) for e in movers)
 
 
 @lru_cache(maxsize=1)
@@ -100,13 +119,9 @@ def full_partition() -> OrbitPartition:
 
 
 def is_complete(g: SymmetryGroup) -> bool:
-    """True iff g's orbits equal the full group's orbits block-for-block.
-
-    Checked as partition equality against the full partition rather than
-    as "two orbits"; for subgroups the two agree.  Like orbits, it trusts
-    g.generators to generate g.elements, so a hand-built group whose
-    generators do not generate its elements can get a wrong answer.
-    """
+    """True iff g's orbits equal the full group's orbits block-for-block,
+    which for a subgroup means two orbits.  Like orbits, it trusts
+    g.generators to generate g.elements (see orbits)."""
     return orbits(g) == full_partition()
 
 

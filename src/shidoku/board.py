@@ -132,6 +132,13 @@ def enumerate_all() -> tuple[Board, ...]:
     return tuple(boards)
 
 
+@lru_cache(maxsize=1)
+def board_numbers() -> dict[tuple[int, ...], int]:
+    """Each valid board's number, keyed by its values: its position in
+    enumerate_all(), so numbers sort as the boards do."""
+    return {b.values: k for k, b in enumerate(enumerate_all())}
+
+
 def count_with_ones_configuration(mask: Iterable[int]) -> int:
     """Number of valid boards whose cells holding 1 are exactly `mask`.
 

@@ -22,10 +22,10 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
 
     sigma must send b[i] to b[x(i)], and a 0 (never renamed) onto a 0.
     Raises ValueError, as apply does, unless b has exactly 16 values, or
-    on a value above 4.
+    on a value below 0 or above 4.
     """
     values = b.values
-    sigma: list[int | None] = [0, None, None, None, None]
+    sigma: dict[int, int | None] = {0: 0, 1: None, 2: None, 3: None, 4: None}
     consistent = True
     try:
         for v, w in zip(values, (values[j - 1] for j in x.image), strict=True):
@@ -33,9 +33,9 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
                 sigma[v] = w
             elif sigma[v] != w:
                 consistent = False
-    except IndexError:
-        raise ValueError(f"not 16 board values up to 4: {values!r}") from None
-    image = tuple(sigma[1:])
+    except (IndexError, KeyError):
+        raise ValueError(f"not 16 board values in 0..4: {values!r}") from None
+    image = (sigma[1], sigma[2], sigma[3], sigma[4])
     return Perm(image) if consistent and set(image) == {1, 2, 3, 4} else None
 
 

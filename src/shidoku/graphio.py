@@ -8,11 +8,8 @@ renderer.  Involution generators get arrowless edges (dir=none).
 
 from __future__ import annotations
 
-import re
-
 from .action import OrbitGraph
 from .nests import NestGraph
-from .unionfind import components
 
 
 def _quote(s: str) -> str:
@@ -50,42 +47,3 @@ def export_nest_graph(graph: NestGraph, name: str = "nests") -> str:
     lines.append("}")
     return "".join(line + "\n" for line in lines)
 
-
-_NODE_RE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)";$')
-_EDGE_RE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)" -> "((?:[^"\\]|\\.)*)" \[(.*)\];$')
-
-
-def _unquote(s: str) -> str:
-    return s.replace('\\"', '"').replace("\\\\", "\\")
-
-
-def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str]]]:
-    """Parse DOT text produced by this module back into node ids and edge
-    endpoint pairs.  Raises ValueError on anything outside that subset."""
-    lines = text.split("\n")
-    stripped = [line for line in lines if line.strip()]
-    if not stripped or not stripped[0].startswith("digraph ") or stripped[-1] != "}":
-        raise ValueError("not a digraph document produced by this module")
-    nodes: list[str] = []
-    edges: list[tuple[str, str]] = []
-    for line in stripped[1:-1]:
-        m = _NODE_RE.match(line)
-        if m:
-            nodes.append(_unquote(m.group(1)))
-            continue
-        m = _EDGE_RE.match(line)
-        if m:
-            edges.append((_unquote(m.group(1)), _unquote(m.group(2))))
-            continue
-        raise ValueError(f"unparseable DOT line: {line!r}")
-    known = set(nodes)
-    for u, v in edges:
-        if u not in known or v not in known:
-            raise ValueError(f"edge endpoint not declared as node: {(u, v)!r}")
-    return nodes, edges
-
-
-def dot_component_count(text: str) -> int:
-    """Weakly connected component count of a parsed DOT document."""
-    nodes, edges = parse_dot(text)
-    return len(components(nodes, edges))

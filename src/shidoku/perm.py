@@ -39,6 +39,13 @@ class Perm:
             raise ValueError(f"not a bijection on 1..{len(self.image)}: {self.image!r}")
 
     @classmethod
+    def _trusted(cls, image: tuple[int, ...]) -> "Perm":
+        """Unchecked Perm, for products and inverses of valid ones."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "image", image)
+        return p
+
+    @classmethod
     def identity(cls, degree: int) -> "Perm":
         return cls(tuple(range(1, degree + 1)))
 
@@ -81,13 +88,14 @@ class Perm:
         """Compose, right factor first: (a * b)(i) = a(b(i))."""
         if self.degree != other.degree:
             raise ValueError("cannot compose permutations of different degrees")
-        return Perm(tuple(self.image[j - 1] for j in other.image))
+        image = self.image
+        return Perm._trusted(tuple([image[j - 1] for j in other.image]))
 
     def inverse(self) -> "Perm":
         img = [0] * self.degree
         for i, j in enumerate(self.image, start=1):
             img[j - 1] = i
-        return Perm(tuple(img))
+        return Perm._trusted(tuple(img))
 
     def order(self) -> int:
         k, p = 1, self
@@ -215,6 +223,14 @@ class SymmetryElement:
             raise ValueError("symmetry element wants (degree-16, degree-4) parts")
 
     @classmethod
+    def _trusted(cls, pos: Perm, rel: Perm) -> "SymmetryElement":
+        """Unchecked element, for products and inverses of valid ones."""
+        e = object.__new__(cls)
+        object.__setattr__(e, "pos", pos)
+        object.__setattr__(e, "rel", rel)
+        return e
+
+    @classmethod
     def identity(cls) -> "SymmetryElement":
         return cls(Perm.identity(POSITION_DEGREE), Perm.identity(RELABEL_DEGREE))
 
@@ -231,10 +247,10 @@ class SymmetryElement:
         return self.pos.is_identity and self.rel.is_identity
 
     def __mul__(self, other: "SymmetryElement") -> "SymmetryElement":
-        return SymmetryElement(self.pos * other.pos, self.rel * other.rel)
+        return SymmetryElement._trusted(self.pos * other.pos, self.rel * other.rel)
 
     def inverse(self) -> "SymmetryElement":
-        return SymmetryElement(self.pos.inverse(), self.rel.inverse())
+        return SymmetryElement._trusted(self.pos.inverse(), self.rel.inverse())
 
     def __str__(self) -> str:
         return f"pos={self.pos.cycle_notation()}; rel={self.rel.cycle_notation()}"

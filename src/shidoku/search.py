@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .group import direct_product, generate_position, generate_relabel
 from .perm import RELABEL_GENERATOR_NAMES, Perm, relabeling, standard_position_generators
-from .action import full_partition, orbits
+from .action import board_image, full_partition, partition
 
 NamedPerm = tuple[str, Perm]
 
@@ -70,7 +70,8 @@ def search_products(
     product.
 
     Results are deduplicated by the underlying element sets (the first,
-    smallest generating subsets win) and sorted by (order, label).
+    smallest generating subsets win) and sorted by (order, label).  Orbits
+    join the board images of the generators, each computed once.
     """
     if position_pool is None:
         position_pool = default_position_pool()
@@ -85,6 +86,8 @@ def search_products(
         (subset, generate_relabel(p for _, p in subset))
         for subset in _subsets(relabel_pool)
     ]
+    movers = {e for _, group in position_groups + relabel_groups for e in group.generators}
+    images = {e: board_image(e) for e in movers}
 
     seen: set[tuple[frozenset, frozenset]] = set()
     results: list[SearchResult] = []
@@ -95,7 +98,7 @@ def search_products(
                 continue
             seen.add(key)
             product = direct_product(pos_group, rel_group)
-            partition = orbits(product)
+            blocks = partition(images[e] for e in product.generators)
             results.append(
                 SearchResult(
                     position_names=tuple(name for name, _ in pos_subset),
@@ -103,8 +106,8 @@ def search_products(
                     position_gens=tuple(p for _, p in pos_subset),
                     relabel_gens=tuple(p for _, p in rel_subset),
                     order=product.order,
-                    orbit_count=partition.block_count,
-                    complete=partition == full_partition(),
+                    orbit_count=blocks.block_count,
+                    complete=blocks == full_partition(),
                 )
             )
     return tuple(sorted(results, key=lambda res: (res.order, res.label)))

@@ -1,26 +1,30 @@
-"""Independent oracle implementations shared by the tests.
+"""Independent oracle implementations shared by the tests, and the
+tests' reader of exported DOT text.
 
-These deliberately avoid the production code paths: the action oracle
-writes values into destination cells directly from the definition, the
-orbit oracle is plain BFS instead of union-find, the recovery oracle
-tries all 24 relabelings, and the fixed-point oracle applies an element
-to every board.
+The oracles deliberately avoid the production code paths: the action
+oracle writes values into destination cells directly from the
+definition, the orbit oracle is plain BFS instead of union-find, the
+recovery oracle tries all 24 relabelings, and the fixed-point oracle
+applies an element to every board.
 """
 
 from __future__ import annotations
 
+import re
 from itertools import permutations
 
 from shidoku.board import Board, enumerate_all, validate
 from shidoku.perm import Perm, SymmetryElement
+from shidoku.unionfind import components
 
 
 def oracle_apply(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]:
     """Definition-level action: the value in cell i lands in cell pos(i),
-    then every value v is renamed rel(v)."""
+    then every value v is renamed rel(v); a 0 (an empty cell) stays 0."""
     out = [0] * 16
     for i in range(16):
-        out[e.pos.image[i] - 1] = e.rel.image[values[i] - 1]
+        v = values[i]
+        out[e.pos.image[i] - 1] = e.rel.image[v - 1] if v else 0
     return tuple(out)
 
 
@@ -82,6 +86,46 @@ def enumerate_by_row_products() -> list[Board]:
                     if validate(values):
                         found.append(Board(values))
     return found
+
+
+_NODE_RE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)";$')
+_EDGE_RE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)" -> "((?:[^"\\]|\\.)*)" \[(.*)\];$')
+
+
+def _unquote(s: str) -> str:
+    return s.replace('\\"', '"').replace("\\\\", "\\")
+
+
+def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """Parse DOT text produced by shidoku.graphio back into node ids and
+    edge endpoint pairs.  Raises ValueError on anything outside that subset."""
+    lines = text.split("\n")
+    stripped = [line for line in lines if line.strip()]
+    if not stripped or not stripped[0].startswith("digraph ") or stripped[-1] != "}":
+        raise ValueError("not a digraph document produced by shidoku.graphio")
+    nodes: list[str] = []
+    edges: list[tuple[str, str]] = []
+    for line in stripped[1:-1]:
+        m = _NODE_RE.match(line)
+        if m:
+            nodes.append(_unquote(m.group(1)))
+            continue
+        m = _EDGE_RE.match(line)
+        if m:
+            edges.append((_unquote(m.group(1)), _unquote(m.group(2))))
+            continue
+        raise ValueError(f"unparseable DOT line: {line!r}")
+    known = set(nodes)
+    for u, v in edges:
+        if u not in known or v not in known:
+            raise ValueError(f"edge endpoint not declared as node: {(u, v)!r}")
+    return nodes, edges
+
+
+def dot_component_count(text: str) -> int:
+    """Weakly connected component count of a parsed DOT document."""
+    nodes, edges = parse_dot(text)
+    return len(components(nodes, edges))
 
 
 # Pinned boards used across the tests (row strings joined row-major).

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from shidoku.board import Board, enumerate_all
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_s, gen_t, relabeling
 from shidoku.group import (
     direct_product,
+    generate,
     generate_position,
     generate_relabel,
     full_group,
@@ -13,6 +16,7 @@ from shidoku.group import (
 )
 from shidoku.action import (
     apply,
+    apply_values,
     full_partition,
     is_complete,
     is_position_symmetry,
@@ -43,10 +47,29 @@ def test_apply_rejects_malformed_boards():
         apply(t, Board.from_text("1234341221434329"))
 
 
+@pytest.mark.parametrize("negative", [-1, -5])
+def test_apply_rejects_negative_values(negative):
+    # a negative value must not be renamed through the end of the rename table
+    values = (negative,) + Board.from_text(TYPE1_TEXT).values[1:]
+    for e in (SymmetryElement.identity(), SymmetryElement.from_relabeling(relabeling("(1 2 3 4)"))):
+        with pytest.raises(ValueError, match=str(negative)):
+            apply_values(e, values)
+
+
 def test_apply_matches_definition_oracle_on_all_boards():
     for e in full_generators():
         for b in enumerate_all():
             assert apply(e, b).values == oracle_apply(e, b.values)
+
+
+def test_apply_matches_definition_oracle_on_zero_values():
+    # a 0 value is moved but not renamed, by both
+    rotate_values = SymmetryElement.from_relabeling(relabeling("(1 2 3 4)"))
+    elements = [rotate_values, *full_generators(), *full_group().sorted_elements()[::97]]
+    for cell, b in enumerate(enumerate_all()[::18]):
+        holed = b.values[:cell] + (0,) + b.values[cell + 1 :]
+        for e in elements:
+            assert apply_values(e, holed) == oracle_apply(e, holed)
 
 
 def test_orbits_full_group():
@@ -89,6 +112,31 @@ def test_orbits_match_bfs_oracle():
     got = {frozenset(block) for block in orbits(rt_s4).blocks}
     want = oracle_orbits(rt_s4.generators, enumerate_all())
     assert got == want
+
+
+def test_orbits_and_is_complete_match_oracle_on_seeded_mixed_groups():
+    # the query shape: groups generated by 1 or 2 random elements of H4 x S4
+    boards = enumerate_all()
+    full_blocks = oracle_orbits(full_generators(), boards)
+    elements = full_group().sorted_elements()
+    rng = random.Random(7)
+    verdicts = set()
+    for _ in range(40):
+        gens = rng.sample(elements, rng.choice((1, 2)))
+        g = generate(gens)
+        want = oracle_orbits(gens, boards)
+        assert {frozenset(block) for block in orbits(g).blocks} == want
+        complete = is_complete(g)
+        assert complete == (want == full_blocks)
+        verdicts.add(complete)
+    assert verdicts == {True, False}
+
+
+def test_orbits_rejects_elements_that_leave_the_board_set():
+    swap12 = Perm.from_cycles("(1 2)", 16)
+    message = r"^symmetry pos=\(1 2\); rel= moves a board to \d{16}, not a valid board$"
+    with pytest.raises(ValueError, match=message):
+        orbits(generate_position([swap12]))
 
 
 def test_orbits_via_elements_when_no_generators():

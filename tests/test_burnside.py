@@ -74,6 +74,15 @@ def test_recovery_rejects_malformed_boards():
                 relabel_recovery(x, b)
 
 
+@pytest.mark.parametrize("negative", [-1, -5])
+def test_recovery_rejects_negative_values(negative):
+    # as apply does: a negative value raises, never reads the end of sigma
+    b = Board((negative,) + Board.from_text(TYPE1_TEXT).values[1:])
+    for x in (Perm.identity(16), gen_s(), gen_t()):
+        with pytest.raises(ValueError):
+            relabel_recovery(x, b)
+
+
 def test_recovery_agrees_with_apply_on_zero_values():
     # a 0 value is moved but never renamed, so sigma must send it onto a 0
     relabelings = [e.rel for e in relabel_group().sorted_elements()]

@@ -1,11 +1,14 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from shidoku import cli
-from shidoku.graphio import dot_component_count, parse_dot
 from shidoku.nests import h4_nest_graph, s4_nest_graph
 from shidoku.perm import gen_r, gen_s, gen_t, relabeling
+from helpers import dot_component_count, parse_dot
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
@@ -128,6 +131,16 @@ def test_export_orbit_graph(tmp_path, capsys):
     code, _, _ = run(capsys, "export", "--group", "full", "--dot", str(path))
     assert code == 0
     assert dot_component_count(path.read_text()) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, golden", [((), "search.txt"), (("--format", "json"), "search.json")]
+)
+def test_search_output_matches_golden(capsys, argv, golden):
+    # every product row of the default pools, byte for byte
+    code, out, _ = run(capsys, "search", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_search_minimal_only(capsys):

@@ -3,13 +3,9 @@ import pytest
 from shidoku.perm import gen_r, gen_s, gen_t, relabeling
 from shidoku.group import direct_product, full_group, generate_position, relabel_group
 from shidoku.action import named_generators, orbit_graph
-from shidoku.graphio import (
-    dot_component_count,
-    export_nest_graph,
-    export_orbit_graph,
-    parse_dot,
-)
+from shidoku.graphio import export_nest_graph, export_orbit_graph
 from shidoku.nests import h4_nest_graph, s4_nest_graph
+from helpers import dot_component_count, parse_dot
 
 
 def test_full_orbit_graph_dot():

@@ -111,6 +111,25 @@ def test_symmetry_element_algebra():
     assert ab.pos == gen_r() and ab.rel == relabeling("(1 2 3)")
 
 
+def test_trusted_products_equal_validated_perms():
+    # products and inverses skip validation; they must equal what the
+    # validating constructors build from the same images (which still
+    # reject bad images: test_perm_rejects_non_bijection and
+    # test_symmetry_element_rejects_wrong_degrees)
+    positions = position_group().sorted_elements()
+    for a in positions:
+        assert a.pos.inverse() == Perm(a.pos.inverse().image)
+        assert a.inverse() == SymmetryElement(a.pos.inverse(), Perm.identity(4))
+        for b in positions:
+            product = a.pos * b.pos
+            assert product == Perm(product.image)
+            assert hash(product) == hash(Perm(product.image))
+            assert product.image == tuple(a.pos(b.pos(i)) for i in range(1, 17))
+    rel = relabeling("(1 2 3)")
+    e = SymmetryElement(gen_r(), rel) * SymmetryElement(gen_t(), rel)
+    assert e == SymmetryElement(Perm((gen_r() * gen_t()).image), Perm((rel * rel).image))
+
+
 def test_symmetry_element_rejects_wrong_degrees():
     with pytest.raises(ValueError):
         SymmetryElement(relabeling("(1 2)"), relabeling("(1 2)"))

@@ -108,6 +108,21 @@ def test_search_with_custom_pools():
     assert not any(res.complete for res in results)
 
 
+def test_search_with_custom_pools_matches_orbits_of_each_product():
+    # the shared per-generator images give each product's own orbits
+    position_pool = (("r2", gen_r2()), ("s", gen_s()), ("t", gen_t()), ("rs", gen_r() * gen_s()))
+    relabel_pool = (("(1 2 3 4)", relabeling("(1 2 3 4)")), ("(1 2 3)", relabeling("(1 2 3)")))
+    results = search_products(position_pool, relabel_pool)
+    assert any(res.complete for res in results) and not all(res.complete for res in results)
+    for res in results:
+        product = direct_product(
+            generate_position(res.position_gens), generate_relabel(res.relabel_gens)
+        )
+        partition = orbits(product)
+        assert res.orbit_count == partition.block_count
+        assert res.complete == (partition == full_partition())
+
+
 def test_parse_pool_file():
     text = "# comment\nr=(1 4 16 13)(2 8 15 9)(3 12 14 5)(6 7 11 10)\n\ns=(9 13)(10 14)(11 15)(12 16)\n"
     pool = parse_pool_file(text, 16)
