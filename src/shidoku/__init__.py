@@ -17,7 +17,6 @@ from .group import (
     generate,
     generate_position,
     generate_relabel,
-    is_subgroup,
     position_group,
     relabel_group,
     trivial_group,
@@ -77,7 +76,6 @@ __all__ = [
     "invariant_count",
     "is_complete",
     "is_position_symmetry",
-    "is_subgroup",
     "minimal_order",
     "orbit_graph",
     "orbits",

@@ -8,12 +8,12 @@ apply(a * b, board) == apply(a, apply(b, board)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .board import Board, board_numbers, enumerate_all, validate
-from .group import SymmetryGroup, full_group
+from .board import Board, enumerate_all
+from .group import SymmetryGroup, element_number, factor_tables, full_group, image
 from .perm import Perm, SymmetryElement, perm_label, standard_name
 from .unionfind import components
 
@@ -48,12 +48,13 @@ def position_apply(x: Perm, values: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def is_position_symmetry(x: Perm) -> bool:
-    """True iff x maps every valid board to a valid board.
+    """True iff x maps every valid board to a valid board, that is, x is
+    one of the 128 elements of H4 (the tests check that no other cell
+    permutation keeps every board valid).
 
-    This is the gate for user-supplied cell permutations; the named
-    generators and their compositions satisfy it by construction.
+    This is the gate for user-supplied cell permutations.
     """
-    return all(validate(position_apply(x, b.values)) for b in enumerate_all())
+    return x in factor_tables()[0].numbers
 
 
 @dataclass(frozen=True)
@@ -65,7 +66,6 @@ class OrbitPartition:
     """
 
     blocks: tuple[tuple[Board, ...], ...]
-    index: dict[Board, int] = field(compare=False)
 
     @property
     def block_count(self) -> int:
@@ -75,41 +75,25 @@ class OrbitPartition:
         return tuple(len(block) for block in self.blocks)
 
     def block_of(self, b: Board) -> int:
-        return self.index[b]
-
-
-def board_image(e: SymmetryElement) -> tuple[int, ...]:
-    """e as a map on board numbers (board.board_numbers): entry k is the
-    number of e applied to board k.  Raises ValueError naming e if e moves
-    a valid board to an invalid one."""
-    numbers = board_numbers()
-    try:
-        return tuple([numbers[apply_values(e, b.values)] for b in enumerate_all()])
-    except KeyError as missing:
-        moved = Board(missing.args[0])
-        raise ValueError(f"symmetry {e} moves a board to {moved}, not a valid board") from None
-
-
-def partition(images: Iterable[tuple[int, ...]]) -> OrbitPartition:
-    """Orbit partition under the group that these board images generate."""
-    boards = enumerate_all()
-    pairs = (pair for image in images for pair in enumerate(image))
-    # board numbers sort as the boards do, so blocks come out sorted
-    blocks = tuple(tuple(map(boards.__getitem__, b)) for b in components(range(len(boards)), pairs))
-    index = {b: k for k, block in enumerate(blocks) for b in block}
-    return OrbitPartition(blocks, index)
+        """Index of the block holding b; ValueError unless b is a valid board."""
+        return [b in block for block in self.blocks].index(True)
 
 
 def orbits(g: SymmetryGroup) -> OrbitPartition:
     """Orbit partition of the 288 boards under g.
 
-    Union-find over generator images; generators suffice because orbits
-    under a group equal connected components under its generators.
-    The generators are trusted to generate g.elements: nothing checks it,
-    so a hand-built group whose generators fall short gets finer blocks.
+    Union-find over the board images of g's generators (group.image);
+    generators suffice because orbits under a group equal connected
+    components under its generators (SymmetryGroup checks that a
+    hand-built group's generators generate it).  A group with no
+    generators moves by all of its elements.
     """
-    movers = g.generators if g.generators else tuple(g.elements)
-    return partition(board_image(e) for e in movers)
+    movers = map(element_number, g.generators) if g.generators else g.numbers
+    boards = enumerate_all()
+    pairs = (pair for n in movers for pair in enumerate(image(n)))
+    # board numbers sort as the boards do, so blocks come out sorted
+    blocks = components(range(len(boards)), pairs)
+    return OrbitPartition(tuple(tuple(map(boards.__getitem__, block)) for block in blocks))
 
 
 @lru_cache(maxsize=1)
@@ -119,9 +103,9 @@ def full_partition() -> OrbitPartition:
 
 
 def is_complete(g: SymmetryGroup) -> bool:
-    """True iff g's orbits equal the full group's orbits block-for-block,
-    which for a subgroup means two orbits.  Like orbits, it trusts
-    g.generators to generate g.elements (see orbits)."""
+    """True iff g's orbits equal the full group's orbits block-for-block.
+    Every group here is a subgroup of the full group, so that means two
+    orbits; orbits checks nothing further (see orbits)."""
     return orbits(g) == full_partition()
 
 

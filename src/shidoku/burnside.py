@@ -1,19 +1,21 @@
 """Fixed-point counting and orbit counts via the averaging lemma.
 
-A board B is fixed by (x, sigma) exactly when sigma undoes the cell move
-x: sigma(x(B)) = B.  Relabelings act freely on valid boards (the first
-row carries every value), so that sigma is unique when it exists; one
-relabel_recovery pass over the boards per cell permutation x counts the
-fixed boards of every element (x, sigma) at once.
+A fixed-point count reads the boards that an element's board image
+(group.image) maps to themselves.  A board B is fixed by (x, sigma)
+exactly when sigma undoes the cell move x: sigma(x(B)) = B.  Relabelings
+act freely on valid boards (the first row carries every value), so a
+sigma that undoes x on B is unique when it exists; relabel_recovery
+finds it, for invariance tables and the fixing rules.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
+from itertools import count
+from operator import eq
 
 from .board import Board, REGIONS, enumerate_all
-from .group import ConjugacyClass, SymmetryGroup, conjugacy_classes
+from .group import ConjugacyClass, SymmetryGroup, conjugacy_classes, element_number, image
 from .perm import Perm, SymmetryElement
 
 
@@ -39,31 +41,27 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
     return Perm(image) if consistent and set(image) == {1, 2, 3, 4} else None
 
 
-def _recoveries(x: Perm) -> Counter[Perm]:
-    """How many boards each relabeling sigma fixes together with x."""
-    return Counter(s for b in enumerate_all() if (s := relabel_recovery(x, b)) is not None)
-
-
 def invariant_count(x: Perm) -> int:
     """Number of boards invariant under x up to relabeling."""
-    return _recoveries(x).total()
+    return sum(1 for b in enumerate_all() if relabel_recovery(x, b) is not None)
+
+
+def _fixed_count(n: int) -> int:
+    """Number of boards k that element number n maps to k."""
+    return sum(map(eq, image(n), count()))
 
 
 def fixed_points(e: SymmetryElement) -> int:
     """Number of boards b with apply(e, b) == b."""
-    return _recoveries(e.pos)[e.rel]
+    return _fixed_count(element_number(e))
 
 
 def burnside_orbit_count(g: SymmetryGroup) -> int:
-    """Orbit count as the average fixed-point count over g.
-
-    (x, sigma) fixes b exactly when relabel_recovery(x, b) is sigma, so
-    one recovery pass per distinct position part counts the fixed boards
-    of every element, product or not.  Raises ValueError if the total is
+    """Orbit count as the average fixed-point count over g's elements,
+    each read off the board images.  Raises ValueError if the total is
     not divisible by |g| (an action bug or a non-group input).
     """
-    recoveries = {x: _recoveries(x) for x in {e.pos for e in g.elements}}
-    total = sum(recoveries[e.pos][e.rel] for e in g.elements)
+    total = sum(map(_fixed_count, g.numbers))
     if total % g.order != 0:
         raise ValueError(f"fixed-point total {total} not divisible by group order {g.order}")
     return total // g.order

@@ -1,17 +1,21 @@
-"""Finite symmetry groups: generator closure, direct products, conjugacy
-classes, and subgroup queries.
+"""Finite symmetry groups: generator closure, direct products and
+conjugacy classes.
 
-Groups are plain element sets with generator provenance.  Everything is
-small (at most the full group of order 3072), so closure is breadth-first
-multiplication with no stabilizer-chain machinery.
+Every group is a subgroup of H4 x S4 (order 3072), so its elements are
+numbered: position symmetry x and relabeling sigma by their places in
+sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
+as SymmetryElements do.  Only this module reads the numbering: closure,
+products, conjugacy classes and membership multiply numbers through
+factor_tables(), and image(n) moves board numbers as element n does.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Callable, Iterable, Iterator, NamedTuple
 
+from .board import Board, board_numbers, enumerate_all
 from .perm import (
     RELABEL_GENERATOR_NAMES,
     Perm,
@@ -22,72 +26,195 @@ from .perm import (
     standard_position_generators,
 )
 
+#: The relabel factor's order: element (x, sigma) is x * RELABELINGS + sigma.
+RELABELINGS = 24
 
-@dataclass(frozen=True)
+
+class FactorTable(NamedTuple):
+    """One factor's sorted elements, each numbered by its index, with
+    products[a][b] the number of elements[a] * elements[b] and images[a][k]
+    the number of board k moved by elements[a]; the identity is number 0."""
+
+    elements: tuple[Perm, ...]
+    numbers: dict[Perm, int]
+    products: tuple[tuple[int, ...], ...]
+    images: tuple[tuple[int, ...], ...]
+
+
+def _applied(e: SymmetryElement) -> Iterator[tuple[int, ...]]:
+    """e applied to the values of each board, in board order."""
+    from .action import apply_values  # action imports this module
+
+    return (apply_values(e, b.values) for b in enumerate_all())
+
+
+def _factor_table(gens: list[Perm], element: Callable[[Perm], SymmetryElement]) -> FactorTable:
+    """The factor gens generate, closed breadth-first.  Only the
+    generators are multiplied out and applied to the boards: the product
+    row and board image of an element g * p are p's, moved by g's."""
+    identity = Perm.identity(gens[0].degree)
+    parents = {identity: (0, identity)}  # element -> (generator index, parent)
+    queue = [identity]
+    for p in queue:
+        for k, g in enumerate(gens):
+            if (q := g * p) not in parents:
+                parents[q] = (k, p)
+                queue.append(q)
+    elements = tuple(sorted(parents))
+    numbers = {p: n for n, p in enumerate(elements)}
+    left = [[numbers[g * p] for p in elements] for g in gens]
+    moved = [[board_numbers()[values] for values in _applied(element(g))] for g in gens]
+    rows = {identity: tuple(range(len(elements)))}
+    images = {identity: tuple(range(len(board_numbers())))}
+    for q in queue[1:]:
+        k, p = parents[q]
+        rows[q] = tuple([left[k][b] for b in rows[p]])
+        images[q] = tuple([moved[k][j] for j in images[p]])
+    return FactorTable(
+        elements, numbers, tuple(rows[p] for p in elements), tuple(images[p] for p in elements)
+    )
+
+
+@lru_cache(maxsize=1)
+def factor_tables() -> tuple[FactorTable, FactorTable]:
+    """H4 from r, s, t and S4 from the four standard transpositions."""
+    named = dict(standard_position_generators())
+    position = [named[g] for g in _POSITION_FACTORS["H4"]]
+    relabel = [relabeling(g) for g in _RELABEL_FACTORS["S4"]]
+    return (
+        _factor_table(position, SymmetryElement.from_position),
+        _factor_table(relabel, SymmetryElement.from_relabeling),
+    )
+
+
+def element_number(e: SymmetryElement) -> int:
+    """e's number; ValueError naming e unless e.pos is in H4."""
+    position, relabel = factor_tables()
+    if (p := position.numbers.get(e.pos)) is None:
+        # H4 is every cell permutation that keeps all boards valid
+        moved = next(values for values in _applied(e) if values not in board_numbers())
+        raise ValueError(f"symmetry {e} moves a board to {Board(moved)}, not a valid board")
+    return p * RELABELINGS + relabel.numbers[e.rel]
+
+
+def element(n: int) -> SymmetryElement:
+    """The element numbered n."""
+    position, relabel = factor_tables()
+    p, r = divmod(n, RELABELINGS)
+    return SymmetryElement._trusted(position.elements[p], relabel.elements[r])
+
+
+def image(n: int) -> list[int]:
+    """Element number n as a map on board numbers (board.board_numbers):
+    entry k numbers the element applied to board k, its position part's
+    image read through its relabeling's (cells move first)."""
+    position, relabel = factor_tables()
+    p, r = divmod(n, RELABELINGS)
+    rename = relabel.images[r]
+    return [rename[k] for k in position.images[p]]
+
+
+def _product(a: int, b: int) -> int:
+    position, relabel = factor_tables()
+    (ap, ar), (bp, br) = divmod(a, RELABELINGS), divmod(b, RELABELINGS)
+    return position.products[ap][bp] * RELABELINGS + relabel.products[ar][br]
+
+
+def _inverse(a: int) -> int:
+    position, relabel = factor_tables()
+    p, r = divmod(a, RELABELINGS)
+    return position.products[p].index(0) * RELABELINGS + relabel.products[r].index(0)
+
+
+def _closure(gens: Iterable[int]) -> frozenset[int]:
+    """The numbers of the group that element numbers gens generate, by
+    breadth-first multiplication; inverses come for free in a finite
+    group."""
+    position, relabel = factor_tables()
+    rows = [
+        (position.products[p], relabel.products[r])
+        for p, r in (divmod(g, RELABELINGS) for g in gens)
+    ]
+    elements = {0}
+    queue = [0]
+    for e in queue:
+        p, r = divmod(e, RELABELINGS)
+        for position_row, relabel_row in rows:
+            if (prod := position_row[p] * RELABELINGS + relabel_row[r]) not in elements:
+                elements.add(prod)
+                queue.append(prod)
+    return frozenset(elements)
+
+
 class SymmetryGroup:
-    """A set of symmetry elements closed under composition and inverse,
-    remembering the generators it was built from.
+    """A subgroup of H4 x S4, stored as its element numbers, remembering
+    the generators it was built from.
 
-    Nothing checks that the generators generate the elements.  orbits,
-    is_complete and conjugacy_classes trust them to, so build groups with
-    generate or direct_product, not by hand.
+    Built by hand, it raises ValueError unless the generators generate
+    exactly the given elements; generate and direct_product skip that
+    check.  A group with no generators is taken as given: orbits and
+    conjugacy_classes then move by all of its elements.
     """
 
-    elements: frozenset[SymmetryElement]
-    generators: tuple[SymmetryElement, ...]
+    __slots__ = ("numbers", "generators")
+
+    def __init__(self, elements: Iterable[SymmetryElement], generators: Iterable[SymmetryElement]):
+        self.numbers = frozenset(map(element_number, elements))
+        self.generators = tuple(generators)
+        if self.generators:
+            reached = _closure(map(element_number, self.generators))
+            if reached != self.numbers:
+                raise ValueError(
+                    f"generators generate {len(reached)} elements, not the {len(self.numbers)} given"
+                )
+
+    @classmethod
+    def _trusted(
+        cls, numbers: frozenset[int], generators: tuple[SymmetryElement, ...]
+    ) -> "SymmetryGroup":
+        """Unchecked group, for closures and products."""
+        g = object.__new__(cls)
+        g.numbers, g.generators = numbers, generators
+        return g
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.numbers)
+
+    @property
+    def elements(self) -> frozenset[SymmetryElement]:
+        return frozenset(map(element, self.numbers))
 
     def __contains__(self, e: SymmetryElement) -> bool:
-        return e in self.elements
+        return e.pos in factor_tables()[0].numbers and element_number(e) in self.numbers
 
     def sorted_elements(self) -> list[SymmetryElement]:
-        return sorted(self.elements)
+        return [element(n) for n in sorted(self.numbers)]
 
     def is_position_only(self) -> bool:
-        return all(e.rel.is_identity for e in self.elements)
+        return all(n % RELABELINGS == 0 for n in self.numbers)
 
     def is_relabel_only(self) -> bool:
-        return all(e.pos.is_identity for e in self.elements)
+        return all(n < RELABELINGS for n in self.numbers)
 
     def position_parts(self) -> tuple[Perm, ...]:
         """Sorted distinct position parts; a group when self is a product."""
-        return tuple(sorted({e.pos for e in self.elements}))
-
-    def relabel_parts(self) -> tuple[Perm, ...]:
-        return tuple(sorted({e.rel for e in self.elements}))
+        return tuple(sorted({element(n).pos for n in self.numbers}))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymmetryGroup):
             return NotImplemented
-        return self.elements == other.elements
+        return self.numbers == other.numbers
 
     def __hash__(self) -> int:
-        return hash(self.elements)
+        return hash(self.numbers)
 
 
 def generate(gens: Iterable[SymmetryElement]) -> SymmetryGroup:
-    """Closure of the generators under composition (BFS).
-
-    Inverses come for free in a finite group, so multiplying by the
-    generators alone suffices.
-    """
+    """Closure of the generators under composition.  Raises ValueError,
+    as element_number does, on a generator outside H4 x S4."""
     gens = tuple(gens)
-    identity = SymmetryElement.identity()
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new: list[SymmetryElement] = []
-        for e in frontier:
-            for g in gens:
-                prod = g * e
-                if prod not in elements:
-                    elements.add(prod)
-                    new.append(prod)
-        frontier = new
-    return SymmetryGroup(frozenset(elements), gens)
+    return SymmetryGroup._trusted(_closure(map(element_number, gens)), gens)
 
 
 def generate_position(perms: Iterable[Perm]) -> SymmetryGroup:
@@ -114,10 +241,9 @@ def direct_product(h: SymmetryGroup, s: SymmetryGroup) -> SymmetryGroup:
         raise ValueError("left factor must contain only position-only elements")
     if not s.is_relabel_only():
         raise ValueError("right factor must contain only relabel-only elements")
-    elements = frozenset(
-        SymmetryElement(he.pos, se.rel) for he in h.elements for se in s.elements
-    )
-    return SymmetryGroup(elements, h.generators + s.generators)
+    # (x, id) numbers x * RELABELINGS and (id, sigma) numbers sigma
+    numbers = frozenset(x + sigma for x in h.numbers for sigma in s.numbers)
+    return SymmetryGroup._trusted(numbers, h.generators + s.generators)
 
 
 @dataclass(frozen=True)
@@ -133,30 +259,26 @@ class ConjugacyClass:
 def conjugacy_classes(g: SymmetryGroup) -> tuple[ConjugacyClass, ...]:
     """Conjugacy classes of g, ordered by minimal element; the
     representative of each class is its minimal element."""
-    conjugators = g.generators if g.generators else tuple(g.elements)
-    inverses = [c.inverse() for c in conjugators]
-    remaining = set(g.elements)
+    conjugators = [
+        (c, _inverse(c))
+        for c in (map(element_number, g.generators) if g.generators else g.numbers)
+    ]
+    remaining = set(g.numbers)
     classes: list[ConjugacyClass] = []
     while remaining:
+        # every element below seed is in an earlier class, so seed is its
+        # class's minimum and classes come out in order
         seed = min(remaining)
         members = {seed}
-        frontier = [seed]
-        while frontier:
-            new: list[SymmetryElement] = []
-            for x in frontier:
-                for c, cinv in zip(conjugators, inverses):
-                    y = c * x * cinv
-                    if y not in members:
-                        members.add(y)
-                        new.append(y)
-            frontier = new
+        queue = [seed]
+        for x in queue:
+            for c, cinv in conjugators:
+                if (y := _product(_product(c, x), cinv)) not in members:
+                    members.add(y)
+                    queue.append(y)
         remaining -= members
-        classes.append(ConjugacyClass(min(members), frozenset(members)))
-    return tuple(sorted(classes, key=lambda k: k.representative))
-
-
-def is_subgroup(a: SymmetryGroup, b: SymmetryGroup) -> bool:
-    return a.elements <= b.elements
+        classes.append(ConjugacyClass(element(seed), frozenset(map(element, members))))
+    return tuple(classes)
 
 
 #: Factor shorthands: position factors by standard generator names,
@@ -246,9 +368,3 @@ def parse_group_description(text: str) -> list[SymmetryElement]:
         gens.append(SymmetryElement(pos, rel))
     return gens
 
-
-def format_group_description(gens: Iterable[SymmetryElement]) -> str:
-    lines = ["generators:"]
-    for e in gens:
-        lines.append(f"pos={e.pos.cycle_notation()}; rel={e.rel.cycle_notation()}")
-    return "".join(line + "\n" for line in lines)

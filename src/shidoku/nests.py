@@ -16,7 +16,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .board import Board, block_of, coords, enumerate_all
-from .perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, grid_perm, perm_label
+from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
 from .action import apply_values, full_partition, position_apply
 from .unionfind import components
 
@@ -151,46 +151,6 @@ def h4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
 def h4_canonicalize(b: Board) -> Board:
     """Canonical representative of b's position-orbit."""
     return h4_canonicalize_with_transform(b)[0]
-
-
-def matches_h4_representative_form(b: Board) -> bool:
-    """The defining predicate for position-nest representatives."""
-    v = b.values
-    return (
-        v[0] == 1
-        and v[6] == 1
-        and v[9] == 1
-        and v[15] == 1
-        and v[5] <= v[10]
-        and v[1] < v[4]
-    )
-
-
-def h4_orbit_canonical(b: Board) -> Board:
-    """Definitional canonicalization: scan b's whole position-orbit for
-    the unique member in representative form.
-
-    Independent of the constructive path; the two are asserted equal over
-    every board in the test suite.
-    """
-    gens = (gen_r(), gen_s(), gen_t())
-    orbit = {b.values}
-    frontier = [b.values]
-    while frontier:
-        new = []
-        for values in frontier:
-            for g in gens:
-                moved = position_apply(g, values)
-                if moved not in orbit:
-                    orbit.add(moved)
-                    new.append(moved)
-        frontier = new
-    matches = [values for values in orbit if matches_h4_representative_form(Board(values))]
-    if len(matches) != 1:
-        raise AssertionError(
-            f"expected exactly one representative-form member, got {len(matches)}"
-        )
-    return Board(matches[0])
 
 
 def _nests(canonical, labels: dict[Board, str], what: str) -> tuple[Nest, ...]:

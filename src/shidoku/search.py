@@ -13,7 +13,7 @@ from itertools import combinations
 
 from .group import direct_product, generate_position, generate_relabel
 from .perm import RELABEL_GENERATOR_NAMES, Perm, relabeling, standard_position_generators
-from .action import board_image, full_partition, partition
+from .action import full_partition, orbits
 
 NamedPerm = tuple[str, Perm]
 
@@ -70,8 +70,7 @@ def search_products(
     product.
 
     Results are deduplicated by the underlying element sets (the first,
-    smallest generating subsets win) and sorted by (order, label).  Orbits
-    join the board images of the generators, each computed once.
+    smallest generating subsets win) and sorted by (order, label).
     """
     if position_pool is None:
         position_pool = default_position_pool()
@@ -86,19 +85,17 @@ def search_products(
         (subset, generate_relabel(p for _, p in subset))
         for subset in _subsets(relabel_pool)
     ]
-    movers = {e for _, group in position_groups + relabel_groups for e in group.generators}
-    images = {e: board_image(e) for e in movers}
 
-    seen: set[tuple[frozenset, frozenset]] = set()
+    seen: set[tuple[frozenset[int], frozenset[int]]] = set()
     results: list[SearchResult] = []
     for pos_subset, pos_group in position_groups:
         for rel_subset, rel_group in relabel_groups:
-            key = (pos_group.elements, rel_group.elements)
+            key = (pos_group.numbers, rel_group.numbers)
             if key in seen:
                 continue
             seen.add(key)
             product = direct_product(pos_group, rel_group)
-            blocks = partition(images[e] for e in product.generators)
+            blocks = orbits(product)
             results.append(
                 SearchResult(
                     position_names=tuple(name for name, _ in pos_subset),

@@ -4,17 +4,22 @@ tests' reader of exported DOT text.
 The oracles deliberately avoid the production code paths: the action
 oracle writes values into destination cells directly from the
 definition, the orbit oracle is plain BFS instead of union-find, the
-recovery oracle tries all 24 relabelings, and the fixed-point oracle
-applies an element to every board.
+recovery oracle tries all 24 relabelings, the fixed-point oracle
+applies an element to every board, the closure oracle multiplies
+SymmetryElements instead of element numbers, and the position-nest
+oracle scans a board's whole position orbit.
 """
 
 from __future__ import annotations
 
 import re
 from itertools import permutations
+from typing import Iterable
 
+from shidoku.action import position_apply
 from shidoku.board import Board, enumerate_all, validate
-from shidoku.perm import Perm, SymmetryElement
+from shidoku.group import SymmetryGroup
+from shidoku.perm import Perm, SymmetryElement, gen_r, gen_s, gen_t
 from shidoku.unionfind import components
 
 
@@ -67,6 +72,79 @@ def oracle_recoveries(x: Perm, b: Board) -> list[Perm]:
 def oracle_fixed_points(e: SymmetryElement) -> int:
     """Number of boards b with e(b) == b, by applying e to every board."""
     return sum(1 for b in enumerate_all() if oracle_apply(e, b.values) == b.values)
+
+
+def oracle_closure(gens: Iterable[SymmetryElement]) -> frozenset[SymmetryElement]:
+    """The group the generators generate, by breadth-first multiplication
+    of SymmetryElements."""
+    gens = tuple(gens)
+    identity = SymmetryElement.identity()
+    elements = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for e in frontier:
+            for g in gens:
+                prod = g * e
+                if prod not in elements:
+                    elements.add(prod)
+                    new.append(prod)
+        frontier = new
+    return frozenset(elements)
+
+
+def is_subgroup(a: SymmetryGroup, b: SymmetryGroup) -> bool:
+    return a.elements <= b.elements
+
+
+def relabel_parts(g: SymmetryGroup) -> tuple[Perm, ...]:
+    """Sorted distinct relabel parts of g's elements."""
+    return tuple(sorted({e.rel for e in g.elements}))
+
+
+def format_group_description(gens: Iterable[SymmetryElement]) -> str:
+    """The group description file format that group.parse_group_description reads."""
+    lines = ["generators:"]
+    for e in gens:
+        lines.append(f"pos={e.pos.cycle_notation()}; rel={e.rel.cycle_notation()}")
+    return "".join(line + "\n" for line in lines)
+
+
+def matches_h4_representative_form(b: Board) -> bool:
+    """The defining predicate for position-nest representatives."""
+    v = b.values
+    return (
+        v[0] == 1
+        and v[6] == 1
+        and v[9] == 1
+        and v[15] == 1
+        and v[5] <= v[10]
+        and v[1] < v[4]
+    )
+
+
+def h4_orbit_canonical(b: Board) -> Board:
+    """Definitional canonicalization: scan b's whole position-orbit for
+    the unique member in representative form, independent of the
+    constructive nests.h4_canonicalize."""
+    gens = (gen_r(), gen_s(), gen_t())
+    orbit = {b.values}
+    frontier = [b.values]
+    while frontier:
+        new = []
+        for values in frontier:
+            for g in gens:
+                moved = position_apply(g, values)
+                if moved not in orbit:
+                    orbit.add(moved)
+                    new.append(moved)
+        frontier = new
+    matches = [values for values in orbit if matches_h4_representative_form(Board(values))]
+    if len(matches) != 1:
+        raise AssertionError(
+            f"expected exactly one representative-form member, got {len(matches)}"
+        )
+    return Board(matches[0])
 
 
 def enumerate_by_row_products() -> list[Board]:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from shidoku.board import Board, enumerate_all
+from shidoku.board import Board, enumerate_all, validate
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_s, gen_t, relabeling
 from shidoku.group import (
     direct_product,
@@ -253,12 +253,13 @@ def test_position_symmetries_are_exactly_the_generated_group():
     assert len(candidates) == 128
 
     preserving = {
-        Perm(tuple(v + 1 for v in x))
-        for x in candidates
-        if is_position_symmetry(Perm(tuple(v + 1 for v in x)))
+        p
+        for p in (Perm(tuple(v + 1 for v in x)) for x in candidates)
+        if all(validate(oracle_apply(SymmetryElement.from_position(p), v)) for v in boards)
     }
     assert len(preserving) == 128
     assert preserving == {e.pos for e in position_group().elements}
+    assert all(map(is_position_symmetry, preserving))
 
 
 def test_named_generators_labels():

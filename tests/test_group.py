@@ -1,23 +1,40 @@
+import random
 from itertools import combinations
 
 import pytest
 
-from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, relabeling
+from shidoku.action import apply_values
+from shidoku.board import board_numbers, enumerate_all
+from shidoku.perm import (
+    Perm,
+    SymmetryElement,
+    gen_r,
+    gen_r2,
+    gen_s,
+    gen_t,
+    position_elements,
+    relabel_elements,
+    relabeling,
+)
 from shidoku.group import (
+    SymmetryGroup,
     conjugacy_classes,
     direct_product,
-    format_group_description,
+    element,
+    element_number,
+    factor_tables,
     full_group,
     generate,
     generate_position,
     generate_relabel,
-    is_subgroup,
     named_group,
     parse_group_description,
     position_group,
     relabel_group,
     trivial_group,
 )
+from shidoku.search import default_position_pool, default_relabel_pool
+from helpers import format_group_description, is_subgroup, oracle_closure, relabel_parts
 
 
 @pytest.mark.parametrize(
@@ -55,6 +72,68 @@ def test_direct_product_rejects_mixed_factors():
         direct_product(mixed, relabel_group())
     with pytest.raises(ValueError):
         direct_product(position_group(), mixed)
+
+
+def test_factor_table_products_match_perm_products():
+    position, relabel = factor_tables()
+    assert (len(position.elements), len(relabel.elements)) == (128, 24)
+    for table in (position, relabel):
+        assert list(table.elements) == sorted(table.elements)
+        for a, x in enumerate(table.elements):
+            assert table.numbers[x] == a
+            for b, y in enumerate(table.elements):
+                assert table.elements[table.products[a][b]] == x * y
+
+
+def test_factor_table_images_match_apply_on_every_board():
+    numbers = board_numbers()
+    position, relabel = factor_tables()
+    for table, elements in ((position, position_elements), (relabel, relabel_elements)):
+        for e, image in zip(elements(table.elements), table.images, strict=True):
+            assert image == tuple(numbers[apply_values(e, b.values)] for b in enumerate_all())
+
+
+def test_element_numbers_sort_as_elements():
+    elements = [element(n) for n in range(3072)]
+    assert elements == sorted(elements)
+    assert [element_number(e) for e in elements] == list(range(3072))
+    assert full_group().sorted_elements() == elements
+
+
+def test_generate_matches_closure_oracle_on_default_pool_subsets():
+    cases = [
+        elements([p for _, p in subset])
+        for pool, elements in (
+            (default_position_pool(), position_elements),
+            (default_relabel_pool(), relabel_elements),
+        )
+        for size in range(len(pool) + 1)
+        for subset in combinations(pool, size)
+    ]
+    assert len(cases) == 16 + 32
+    for gens in cases:
+        want = oracle_closure(gens)
+        got = generate(gens)
+        assert got.elements == want
+        assert got.order == len(want)
+
+
+def test_generate_matches_closure_oracle_on_random_mixed_elements():
+    elements = full_group().sorted_elements()
+    rng = random.Random(11)
+    for _ in range(40):
+        gens = rng.sample(elements, rng.choice((1, 2)))
+        want = oracle_closure(gens)
+        got = generate(gens)
+        assert got.elements == want
+        assert got.order == len(want)
+
+
+def test_hand_built_group_checks_its_generators():
+    full = full_group()
+    assert SymmetryGroup(full.elements, full.generators) == full
+    with pytest.raises(ValueError, match=r"^generators generate 4 elements, not the 3072 given$"):
+        SymmetryGroup(full.elements, full.generators[:1])
 
 
 @pytest.mark.parametrize(
@@ -119,6 +198,7 @@ def test_is_subgroup():
     assert is_subgroup(st, position_group())
     assert not is_subgroup(r2st, rs)
     assert SymmetryElement.from_position(gen_t()) not in rs
+    assert SymmetryElement.from_position(Perm.from_cycles("(1 2)", 16)) not in full_group()
     assert is_subgroup(full_group(), full_group())
 
 
@@ -135,7 +215,7 @@ def test_projection_helpers():
     assert relabel_group().is_relabel_only()
     product = direct_product(st, relabel_group())
     assert len(product.position_parts()) == 8
-    assert len(product.relabel_parts()) == 24
+    assert len(relabel_parts(product)) == 24
 
 
 def test_group_description_roundtrip():

@@ -14,8 +14,6 @@ from shidoku.nests import (
     h4_nest_graph,
     h4_nest_of,
     h4_nests,
-    h4_orbit_canonical,
-    matches_h4_representative_form,
     nest_partition,
     s4_canonicalize,
     s4_canonicalize_with_relabeling,
@@ -23,7 +21,13 @@ from shidoku.nests import (
     s4_nest_of,
     s4_nests,
 )
-from helpers import INVARIANT_UNDER_TRANSPOSE_TEXT, TYPE1_TEXT, TYPE2_TEXT
+from helpers import (
+    INVARIANT_UNDER_TRANSPOSE_TEXT,
+    TYPE1_TEXT,
+    TYPE2_TEXT,
+    h4_orbit_canonical,
+    matches_h4_representative_form,
+)
 
 
 def test_s4_canonicalize_fixes_canonical_boards():
