@@ -15,7 +15,7 @@ from typing import Iterable
 from .board import Board, enumerate_all
 from .group import SymmetryGroup, element_number, factor_tables, full_group, image
 from .perm import Perm, SymmetryElement, perm_label, standard_name
-from .unionfind import components
+from .unionfind import components, graph_components
 
 NamedElement = tuple[str, SymmetryElement]
 
@@ -79,21 +79,20 @@ class OrbitPartition:
         return [b in block for block in self.blocks].index(True)
 
 
-def orbits(g: SymmetryGroup) -> OrbitPartition:
-    """Orbit partition of the 288 boards under g.
-
-    Union-find over the board images of g's generators (group.image);
-    generators suffice because orbits under a group equal connected
-    components under its generators (SymmetryGroup checks that a
-    hand-built group's generators generate it).  A group with no
-    generators moves by all of its elements.
-    """
+def _board_blocks(g: SymmetryGroup) -> list[list[int]]:
+    """g's orbits in board numbers: the components of its generators'
+    board images (group.image); SymmetryGroup checks that a hand-built
+    group's generators generate it, and a group with none moves by all
+    of its elements."""
     movers = map(element_number, g.generators) if g.generators else g.numbers
+    return components(len(enumerate_all()), [image(n) for n in movers])
+
+
+def orbits(g: SymmetryGroup) -> OrbitPartition:
+    """Orbit partition of the 288 boards under g; board numbers sort as
+    the boards do, so the blocks come out sorted."""
     boards = enumerate_all()
-    pairs = (pair for n in movers for pair in enumerate(image(n)))
-    # board numbers sort as the boards do, so blocks come out sorted
-    blocks = components(range(len(boards)), pairs)
-    return OrbitPartition(tuple(tuple(map(boards.__getitem__, block)) for block in blocks))
+    return OrbitPartition(tuple(tuple(map(boards.__getitem__, block)) for block in _board_blocks(g)))
 
 
 @lru_cache(maxsize=1)
@@ -103,10 +102,9 @@ def full_partition() -> OrbitPartition:
 
 
 def is_complete(g: SymmetryGroup) -> bool:
-    """True iff g's orbits equal the full group's orbits block-for-block.
-    Every group here is a subgroup of the full group, so that means two
-    orbits; orbits checks nothing further (see orbits)."""
-    return orbits(g) == full_partition()
+    """True iff g's orbits equal the full group's; g is a subgroup of the
+    full group, so its orbits refine those, and equal them iff as many."""
+    return len(_board_blocks(g)) == full_partition().block_count
 
 
 @dataclass(frozen=True)
@@ -127,7 +125,7 @@ class OrbitGraph:
     edges: tuple[OrbitEdge, ...]
 
     def components(self) -> list[list[Board]]:
-        return components(self.nodes, ((e.src, e.dst) for e in self.edges))
+        return graph_components(self.nodes, [(e.src, e.dst) for e in self.edges])
 
     @property
     def component_count(self) -> int:

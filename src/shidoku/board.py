@@ -63,9 +63,6 @@ class Board:
     def text(self) -> str:
         return "".join(str(v) for v in self.values)
 
-    def rows(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(self.values[i : i + 4] for i in range(0, 16, 4))
-
     def value_at(self, cell: int) -> int:
         return self.values[cell - 1]
 
@@ -148,14 +145,3 @@ def count_with_ones_configuration(mask: Iterable[int]) -> int:
     target = frozenset(mask)
     return sum(1 for b in enumerate_all() if b.cells_with(1) == target)
 
-
-def boards_to_file_text(boards: Iterable[Board]) -> str:
-    """Newline-delimited board file: sorted lexicographically, trailing newline."""
-    lines = sorted(b.text for b in boards)
-    return "".join(line + "\n" for line in lines)
-
-
-def boards_from_file_text(text: str) -> tuple[Board, ...]:
-    return tuple(
-        Board.from_text(line) for line in text.split("\n") if line.strip()
-    )

@@ -133,8 +133,9 @@ def cmd_orbits(args) -> int:
 
 def cmd_burnside(args) -> int:
     g = resolve_group(args.group)
-    projection = generate_position(g.position_parts())
-    table = invariance_table(projection)
+    # the position parts of g's generators generate its position projection
+    parts = (e.pos for e in g.generators) if g.generators else g.position_parts()
+    table = invariance_table(generate_position(parts))
     lines = []
     rows_payload = []
     for k, (cls, count) in enumerate(table.rows, start=1):

@@ -25,6 +25,7 @@ from .perm import (
     relabeling,
     standard_position_generators,
 )
+from .unionfind import graph_components
 
 #: The relabel factor's order: element (x, sigma) is x * RELABELINGS + sigma.
 RELABELINGS = 24
@@ -258,27 +259,17 @@ class ConjugacyClass:
 
 def conjugacy_classes(g: SymmetryGroup) -> tuple[ConjugacyClass, ...]:
     """Conjugacy classes of g, ordered by minimal element; the
-    representative of each class is its minimal element."""
+    representative of each class is its minimal element.  The classes
+    are the components of conjugation by g's generators on g."""
     conjugators = [
         (c, _inverse(c))
         for c in (map(element_number, g.generators) if g.generators else g.numbers)
     ]
-    remaining = set(g.numbers)
-    classes: list[ConjugacyClass] = []
-    while remaining:
-        # every element below seed is in an earlier class, so seed is its
-        # class's minimum and classes come out in order
-        seed = min(remaining)
-        members = {seed}
-        queue = [seed]
-        for x in queue:
-            for c, cinv in conjugators:
-                if (y := _product(_product(c, x), cinv)) not in members:
-                    members.add(y)
-                    queue.append(y)
-        remaining -= members
-        classes.append(ConjugacyClass(element(seed), frozenset(map(element, members))))
-    return tuple(classes)
+    edges = [(x, _product(_product(c, x), cinv)) for c, cinv in conjugators for x in g.numbers]
+    return tuple(
+        ConjugacyClass(element(block[0]), frozenset(map(element, block)))
+        for block in graph_components(g.numbers, edges)
+    )
 
 
 #: Factor shorthands: position factors by standard generator names,

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 from .board import Board, block_of, coords, enumerate_all
 from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
 from .action import apply_values, full_partition, position_apply
-from .unionfind import components
+from .unionfind import graph_components
 
 #: Canonical representatives of the twelve relabeling-orbits (S4-nests).
 S4_REPRESENTATIVES: dict[str, str] = {
@@ -90,7 +90,7 @@ class NestGraph:
         raise KeyError(label)
 
     def components(self) -> list[list[str]]:
-        return components((n.label for n in self.nests), ((e.src, e.dst) for e in self.edges))
+        return graph_components((n.label for n in self.nests), [(e.src, e.dst) for e in self.edges])
 
     @property
     def component_count(self) -> int:

@@ -1,12 +1,11 @@
-"""Union-find with canonical minimum representatives.
-
-Representatives are the minimum of each block, so the resulting partition
-is independent of union order.
+"""Connected components: components labels blocks of int maps
+breadth-first, and graph_components numbers a graph's nodes for it.
+UnionFind (canonical minimum representatives) has no library caller.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, TypeVar
+from typing import Hashable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T", bound=Hashable)
 
@@ -40,10 +39,34 @@ class UnionFind:
         return [sorted(grouped[rep]) for rep in sorted(grouped)]
 
 
-def components(items: Iterable[T], pairs: Iterable[tuple[T, T]]) -> list[list[T]]:
-    """Blocks of the finest partition of items that joins every pair,
-    sorted as UnionFind.blocks sorts them."""
-    uf = UnionFind(items)
-    for x, y in pairs:
-        uf.union(x, y)
-    return uf.blocks()
+def components(size: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Blocks of range(size) that the maps join, sorted by their minimum,
+    members sorted within, as UnionFind.blocks sorts them.  Every map
+    must be a permutation of range(size): its inverse is one of its
+    powers, so following edges k -> m[k] forward reaches k's whole block."""
+    seen = [False] * size
+    blocks = []
+    for start in range(size):
+        if not seen[start]:
+            seen[start] = True
+            block = [start]
+            for k in block:
+                for m in maps:
+                    if not seen[j := m[k]]:
+                        seen[j] = True
+                        block.append(j)
+            blocks.append(sorted(block))
+    return blocks
+
+
+def graph_components(nodes: Iterable[T], edges: Sequence[tuple[T, T]]) -> list[list[T]]:
+    """Components of a graph with one edge per (node, generator), listed
+    generator by generator: each run of len(nodes) (src, dst) pairs is a
+    permutation of the nodes.  Sorted as components sorts, by node order."""
+    order = sorted(nodes)
+    index = {x: k for k, x in enumerate(order)}
+    n = len(order)
+    maps = [list(range(n)) for _ in range(0, len(edges), n or 1)]
+    for i, (x, y) in enumerate(edges):
+        maps[i // n][index[x]] = index[y]
+    return [[order[k] for k in block] for block in components(n, maps)]

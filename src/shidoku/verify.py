@@ -272,20 +272,21 @@ def check_action_and_relations() -> None:
                 raise AssertionError(f"generator broke board {b.text}")
 
     reps = (Board.from_text(TYPE1_REPRESENTATIVE), Board.from_text(TYPE2_REPRESENTATIVE))
-    full_elements = full_group().sorted_elements()
-    for a in generators:
-        for b_el in full_elements:
+    for b_el in full_group().sorted_elements():
+        moved = [(board, apply(b_el, board)) for board in reps]
+        for a in generators:
             ab = a * b_el
-            for board in reps:
-                if apply(ab, board) != apply(a, apply(b_el, board)):
+            for board, b_board in moved:
+                if apply(ab, board) != apply(a, b_board):
                     raise AssertionError(f"action law fails for generator pair on {board.text}")
 
     minimal = named_group("stxS4").sorted_elements()
     type1 = reps[0]
-    for a in minimal:
-        for b_el in minimal:
+    for b_el in minimal:
+        b_type1 = apply(b_el, type1)
+        for a in minimal:
             expect(
-                apply(a * b_el, type1) == apply(a, apply(b_el, type1)),
+                apply(a * b_el, type1) == apply(a, b_type1),
                 "action law fails inside <s,t> x S4",
             )
 

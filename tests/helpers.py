@@ -1,13 +1,15 @@
-"""Independent oracle implementations shared by the tests, and the
-tests' reader of exported DOT text.
+"""Independent oracle implementations shared by the tests, the tests'
+reader of exported DOT text and their board file format.
 
 The oracles deliberately avoid the production code paths: the action
 oracle writes values into destination cells directly from the
-definition, the orbit oracle is plain BFS instead of union-find, the
-recovery oracle tries all 24 relabelings, the fixed-point oracle
-applies an element to every board, the closure oracle multiplies
-SymmetryElements instead of element numbers, and the position-nest
-oracle scans a board's whole position orbit.
+definition, the orbit oracle searches over Boards moved by that action
+oracle instead of over board numbers and factor-table images, the
+component oracle follows edge pairs both ways instead of numbered
+permutation maps, the recovery oracle tries all 24 relabelings, the
+fixed-point oracle applies an element to every board, the closure
+oracle multiplies SymmetryElements instead of element numbers, and the
+position-nest oracle scans a board's whole position orbit.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from shidoku.action import position_apply
 from shidoku.board import Board, enumerate_all, validate
 from shidoku.group import SymmetryGroup
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_s, gen_t
-from shidoku.unionfind import components
 
 
 def oracle_apply(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]:
@@ -147,6 +148,16 @@ def h4_orbit_canonical(b: Board) -> Board:
     return Board(matches[0])
 
 
+def boards_to_file_text(boards: Iterable[Board]) -> str:
+    """Newline-delimited board file: sorted lexicographically, trailing newline."""
+    lines = sorted(b.text for b in boards)
+    return "".join(line + "\n" for line in lines)
+
+
+def boards_from_file_text(text: str) -> tuple[Board, ...]:
+    return tuple(Board.from_text(line) for line in text.split("\n") if line.strip())
+
+
 def enumerate_by_row_products() -> list[Board]:
     """Exhaustive scan oracle for enumeration: every 16-tuple whose four
     rows are permutations of 1..4, filtered by the validator.
@@ -200,10 +211,30 @@ def parse_dot(text: str) -> tuple[list[str], list[tuple[str, str]]]:
     return nodes, edges
 
 
+def oracle_components(nodes, edges) -> list[list]:
+    """Weakly connected components of a graph given as node ids and
+    (src, dst) pairs, by BFS over both directions of every edge; sorted
+    by least node, nodes sorted within."""
+    neighbours = {node: set() for node in nodes}
+    for u, v in edges:
+        neighbours[u].add(v)
+        neighbours[v].add(u)
+    remaining = set(neighbours)
+    blocks = []
+    while remaining:
+        block = {remaining.pop()}
+        frontier = list(block)
+        while frontier:
+            frontier = [v for u in frontier for v in neighbours[u] if v in remaining]
+            remaining.difference_update(frontier)
+            block.update(frontier)
+        blocks.append(sorted(block))
+    return sorted(blocks)
+
+
 def dot_component_count(text: str) -> int:
     """Weakly connected component count of a parsed DOT document."""
-    nodes, edges = parse_dot(text)
-    return len(components(nodes, edges))
+    return len(oracle_components(*parse_dot(text)))
 
 
 # Pinned boards used across the tests (row strings joined row-major).

@@ -8,13 +8,17 @@ from shidoku.board import (
     COLS,
     REGIONS,
     ROWS,
-    boards_from_file_text,
-    boards_to_file_text,
     count_with_ones_configuration,
     enumerate_all,
     validate,
 )
-from helpers import TYPE1_TEXT, TYPE2_TEXT, enumerate_by_row_products
+from helpers import (
+    TYPE1_TEXT,
+    TYPE2_TEXT,
+    boards_from_file_text,
+    boards_to_file_text,
+    enumerate_by_row_products,
+)
 
 
 def test_region_layout():

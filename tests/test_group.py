@@ -173,6 +173,32 @@ def test_conjugacy_classes_swap_transpose():
     assert union == set(group.elements)
 
 
+def test_conjugacy_classes_match_conjugation_by_every_element_in_order():
+    rng = random.Random(5)
+    elements = full_group().sorted_elements()
+    groups = [named_group(spec) for spec in ("H4", "st", "stxS4", "rtxS4", "r2stxc123")]
+    groups += [generate(rng.sample(elements, 2)) for _ in range(3)]
+    for group in groups:
+        members = group.sorted_elements()
+        want = []
+        for e in members:
+            if not any(e in c for c in want):
+                want.append(frozenset(c * e * c.inverse() for c in members))
+        classes = conjugacy_classes(group)
+        assert [c.members for c in classes] == want
+        assert all(c.representative == min(c.members) for c in classes)
+
+
+def test_generators_position_parts_generate_the_position_projection():
+    rng = random.Random(6)
+    elements = full_group().sorted_elements()
+    groups = [named_group(spec) for spec in ("full", "stxS4", "rsxc123", "S4")]
+    groups += [generate(rng.sample(elements, rng.choice((1, 2)))) for _ in range(10)]
+    for group in groups:
+        projection = generate_position(group.position_parts())
+        assert generate_position(e.pos for e in group.generators) == projection
+
+
 def test_conjugacy_classes_trivial():
     classes = conjugacy_classes(trivial_group())
     assert len(classes) == 1 and classes[0].size == 1

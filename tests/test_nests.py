@@ -7,6 +7,7 @@ from shidoku.action import apply, full_partition, orbits, position_apply
 from shidoku.perm import SymmetryElement
 from shidoku.nests import (
     H4_REPRESENTATIVES,
+    NestGraph,
     S4_REPRESENTATIVES,
     completeness_via_nests,
     h4_canonicalize,
@@ -27,6 +28,7 @@ from helpers import (
     TYPE2_TEXT,
     h4_orbit_canonical,
     matches_h4_representative_form,
+    oracle_components,
 )
 
 
@@ -129,6 +131,26 @@ def test_h4_nest_graph_components():
         frozenset("bde"),
     }
     assert h4_nest_graph(()).component_count == 6
+
+
+def test_nest_graph_components_match_oracle_in_order():
+    graphs = [
+        s4_nest_graph(gens)
+        for gens in ([gen_r(), gen_s(), gen_t()], [gen_s(), gen_t()], [gen_r(), gen_t()], [gen_r2()])
+    ] + [
+        h4_nest_graph([relabeling(n) for n in names])
+        for names in (("(1 2)", "(2 3)"), ("(1 2 3)",), ("(3 4)",), ("(1 4)", "(3 4)"))
+    ]
+    # two generators under one label still give two maps
+    graphs.append(s4_nest_graph([("x", gen_s()), ("x", gen_t())]))
+    graphs.append(h4_nest_graph([("y", relabeling("(1 2)")), ("y", relabeling("(2 3)"))]))
+    for graph in graphs:
+        labels = [n.label for n in graph.nests]
+        want = oracle_components(labels, [(e.src, e.dst) for e in graph.edges])
+        assert graph.components() == want
+        # blocks by least label, labels sorted within, whatever the nest order
+        shuffled = NestGraph(graph.nests[::-1], graph.edges)
+        assert shuffled.components() == want
 
 
 def test_h4_nest_graph_three_cycle():

@@ -1,0 +1,53 @@
+import random
+
+from shidoku.unionfind import UnionFind, components, graph_components
+
+
+def test_components_without_maps_are_singletons():
+    assert components(0, []) == []
+    assert components(4, []) == [[0], [1], [2], [3]]
+
+
+def test_components_of_identity_maps_are_singletons():
+    identity = list(range(5))
+    assert components(5, [identity, identity]) == [[k] for k in range(5)]
+
+
+def test_components_of_one_long_cycle_is_one_block():
+    n = 1000
+    assert components(n, [[(k + 1) % n for k in range(n)]]) == [list(range(n))]
+    # the block is sorted even though the search reaches n-1 first
+    assert components(n, [[(k - 1) % n for k in range(n)]]) == [list(range(n))]
+
+
+def test_components_orders_blocks_by_minimum_and_members_within():
+    # blocks {0, 3, 5}, {1, 4}, {2}; forward from 0 the search meets 5 before 3
+    m = [5, 4, 2, 0, 1, 3]
+    assert components(6, [m]) == [[0, 3, 5], [1, 4], [2]]
+
+
+def test_components_match_union_find_on_random_permutations():
+    rng = random.Random(3)
+    for _ in range(50):
+        size = rng.randrange(1, 40)
+        maps = []
+        for _ in range(rng.randrange(4)):
+            m = list(range(size))
+            # a random permutation with many fixed points, so blocks vary
+            moved = rng.sample(range(size), rng.randrange(size + 1))
+            for src, dst in zip(moved, rng.sample(moved, len(moved))):
+                m[src] = dst
+            maps.append(m)
+        uf = UnionFind(range(size))
+        for m in maps:
+            for k, j in enumerate(m):
+                uf.union(k, j)
+        assert components(size, maps) == uf.blocks()
+
+
+def test_graph_components_maps_edges_by_position_in_node_order():
+    # two runs of three edges: one map each, whatever the labels or the
+    # order of nodes and edges within a run
+    edges = [("c", "c"), ("a", "b"), ("b", "a"), ("a", "a"), ("b", "b"), ("c", "c")]
+    assert graph_components(["c", "b", "a"], edges) == [["a", "b"], ["c"]]
+    assert graph_components(["b", "a"], []) == [["a"], ["b"]]
