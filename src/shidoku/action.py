@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .board import Board, enumerate_all
+from .board import Board, board_numbers, enumerate_all
 from .group import SymmetryGroup, element_number, factor_tables, full_group, image
 from .perm import Perm, SymmetryElement, perm_label, standard_name
 from .unionfind import components, graph_components
@@ -59,24 +59,29 @@ def is_position_symmetry(x: Perm) -> bool:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """Partition of a board set into orbit blocks.
+    """Partition of the 288 boards into orbit blocks of board numbers.
 
     Blocks are sorted by minimal board; equality compares blocks only, so
     two partitions are equal iff they chop the boards the same way.
     """
 
-    blocks: tuple[tuple[Board, ...], ...]
+    numbers: tuple[tuple[int, ...], ...]
+
+    @property
+    def blocks(self) -> tuple[tuple[Board, ...], ...]:
+        boards = enumerate_all()
+        return tuple(tuple(map(boards.__getitem__, block)) for block in self.numbers)
 
     @property
     def block_count(self) -> int:
-        return len(self.blocks)
+        return len(self.numbers)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(block) for block in self.blocks)
+        return tuple(map(len, self.numbers))
 
     def block_of(self, b: Board) -> int:
         """Index of the block holding b; ValueError unless b is a valid board."""
-        return [b in block for block in self.blocks].index(True)
+        return [board_numbers().get(b.values) in block for block in self.numbers].index(True)
 
 
 def _board_blocks(g: SymmetryGroup) -> list[list[int]]:
@@ -91,8 +96,7 @@ def _board_blocks(g: SymmetryGroup) -> list[list[int]]:
 def orbits(g: SymmetryGroup) -> OrbitPartition:
     """Orbit partition of the 288 boards under g; board numbers sort as
     the boards do, so the blocks come out sorted."""
-    boards = enumerate_all()
-    return OrbitPartition(tuple(tuple(map(boards.__getitem__, block)) for block in _board_blocks(g)))
+    return OrbitPartition(tuple(map(tuple, _board_blocks(g))))
 
 
 @lru_cache(maxsize=1)
@@ -102,9 +106,13 @@ def full_partition() -> OrbitPartition:
 
 
 def is_complete(g: SymmetryGroup) -> bool:
-    """True iff g's orbits equal the full group's; g is a subgroup of the
-    full group, so its orbits refine those, and equal them iff as many."""
-    return len(_board_blocks(g)) == full_partition().block_count
+    """True iff g's orbits equal the full group's.  A complete g is
+    transitive on each full orbit, so every full orbit size divides |g|;
+    only then are g's orbits labeled: they refine the full group's and
+    equal them iff as many."""
+    full = full_partition()
+    divides = all(g.order % size == 0 for size in full.sizes())
+    return divides and len(_board_blocks(g)) == full.block_count
 
 
 @dataclass(frozen=True)
@@ -134,10 +142,10 @@ class OrbitGraph:
 
 def orbit_graph(gens: Iterable[NamedElement | SymmetryElement]) -> OrbitGraph:
     """Graph with one node per board and one labeled edge per
-    (board, generator) application.
+    (board, generator), read off the generator's board image.
 
     Generators may be (label, element) pairs or bare elements, which get
-    default labels.
+    default labels; one outside H4 x S4 raises element_number's ValueError.
     """
     boards = enumerate_all()
     named = tuple(
@@ -147,8 +155,8 @@ def orbit_graph(gens: Iterable[NamedElement | SymmetryElement]) -> OrbitGraph:
     edges = []
     for name, e in named:
         directed = not (e * e).is_identity
-        for b in boards:
-            edges.append(OrbitEdge(b, apply(e, b), name, directed))
+        moved = image(element_number(e))
+        edges.extend(OrbitEdge(b, boards[k], name, directed) for b, k in zip(boards, moved))
     return OrbitGraph(boards, tuple(edges))
 
 

@@ -117,14 +117,14 @@ def cmd_enumerate(args) -> int:
 
 def cmd_orbits(args) -> int:
     g = resolve_group(args.group)
-    partition = orbits(g)
+    blocks = orbits(g).blocks
     lines = [
         f"block {k}: size {len(block)}, min {block[0].text}"
-        for k, block in enumerate(partition.blocks, start=1)
+        for k, block in enumerate(blocks, start=1)
     ]
     payload = {
         "blocks": [
-            {"size": len(block), "min": block[0].text} for block in partition.blocks
+            {"size": len(block), "min": block[0].text} for block in blocks
         ]
     }
     _emit(args, payload, lines)

@@ -7,6 +7,8 @@ sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
 as SymmetryElements do.  Only this module reads the numbering: closure,
 products, conjugacy classes and membership multiply numbers through
 factor_tables(), and image(n) moves board numbers as element n does.
+Closure walks position parts only (at most 128), one coset of the
+relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 """
 
 from __future__ import annotations
@@ -128,23 +130,28 @@ def _inverse(a: int) -> int:
 
 
 def _closure(gens: Iterable[int]) -> frozenset[int]:
-    """The numbers of the group that element numbers gens generate, by
-    breadth-first multiplication; inverses come for free in a finite
-    group."""
-    position, relabel = factor_tables()
-    rows = [
-        (position.products[p], relabel.products[r])
-        for p, r in (divmod(g, RELABELINGS) for g in gens)
-    ]
-    elements = {0}
-    queue = [0]
-    for e in queue:
-        p, r = divmod(e, RELABELINGS)
+    """The numbers of the group G that element numbers gens generate, by
+    breadth-first search over position parts p, one relabel part
+    section[p] over each: reaching a seen p with relabel part t gives
+    section[p]^-1 t, a Schreier generator of K = {sigma : (1, sigma) in G},
+    and G is every (p, section[p] * k), k in K closed in the 24 x 24 table."""
+    position, relabel = (table.products for table in factor_tables())
+    rows = [(position[p], relabel[r]) for p, r in (divmod(g, RELABELINGS) for g in gens)]
+    section, queue, schreier = {0: 0}, [0], set()
+    for p in queue:
         for position_row, relabel_row in rows:
-            if (prod := position_row[p] * RELABELINGS + relabel_row[r]) not in elements:
-                elements.add(prod)
-                queue.append(prod)
-    return frozenset(elements)
+            q, t = position_row[p], relabel_row[section[p]]
+            if q not in section:
+                section[q] = t
+                queue.append(q)
+            elif section[q] != t:
+                schreier.add(relabel[section[q]].index(t))
+    kernel = [0]
+    for k in kernel:
+        kernel += {relabel[s][k] for s in schreier}.difference(kernel)
+    return frozenset(
+        [p * RELABELINGS + relabel[u][k] for p, u in section.items() for k in kernel]
+    )
 
 
 class SymmetryGroup:

@@ -1,4 +1,5 @@
 import random
+from itertools import combinations
 
 import pytest
 
@@ -10,11 +11,13 @@ from shidoku.group import (
     generate_position,
     generate_relabel,
     full_group,
+    named_group,
     position_group,
     relabel_group,
     trivial_group,
 )
 from shidoku.action import (
+    OrbitPartition,
     apply,
     apply_values,
     full_partition,
@@ -24,6 +27,7 @@ from shidoku.action import (
     orbit_graph,
     orbits,
 )
+from shidoku.search import default_position_pool, default_relabel_pool
 from helpers import (
     TYPE1_TEXT,
     TYPE2_TEXT,
@@ -133,6 +137,39 @@ def test_orbits_and_is_complete_match_oracle_on_seeded_mixed_groups():
     assert verdicts == {True, False}
 
 
+def test_orbit_partition_holds_board_numbers():
+    boards = enumerate_all()
+    for spec in ("full", "rtxS4", "rsxc123", "H4", "c123", "trivial"):
+        g = named_group(spec)
+        part = orbits(g)
+        want = sorted(tuple(sorted(block)) for block in oracle_orbits(g.generators, boards))
+        assert part.blocks == tuple(want)
+        assert part.numbers == tuple(tuple(boards.index(b) for b in block) for block in want)
+        assert part.sizes() == tuple(map(len, want))
+        assert part.block_count == len(want)
+        assert all(part.block_of(b) == k for k, block in enumerate(want) for b in block)
+
+
+def test_orbit_partition_block_of_rejects_invalid_boards():
+    part = full_partition()
+    with pytest.raises(ValueError):
+        part.block_of(Board((1,) * 16))
+    with pytest.raises(ValueError):
+        part.block_of(Board((1, 2, 3)))
+
+
+def test_equal_groups_give_equal_partitions():
+    s, t = (SymmetryElement.from_position(p) for p in (gen_s(), gen_t()))
+    swaps = [SymmetryElement.from_relabeling(relabeling(c)) for c in ("(1 2)", "(2 3)", "(3 4)")]
+    a = named_group("stxS4")
+    b = generate([t * s, s, *reversed(swaps), swaps[0] * t])
+    assert a == b and a.generators != b.generators
+    assert orbits(a) == orbits(b)
+    assert hash(orbits(a)) == hash(orbits(b))
+    assert orbits(a) == OrbitPartition(orbits(b).numbers)
+    assert orbits(a) != orbits(named_group("rtxS4"))
+
+
 def test_orbits_rejects_elements_that_leave_the_board_set():
     swap12 = Perm.from_cycles("(1 2)", 16)
     message = r"^symmetry pos=\(1 2\); rel= moves a board to \d{16}, not a valid board$"
@@ -151,6 +188,33 @@ def test_is_complete():
     # neither factor alone is complete
     assert not is_complete(position_group())
     assert not is_complete(relabel_group())
+
+
+def test_is_complete_matches_the_orbit_comparison():
+    # orbits(g) == full_partition() is the slow side; groups whose order
+    # every full orbit size divides get past is_complete's order gate
+    def subsets(pool):
+        return [subset for size in range(len(pool) + 1) for subset in combinations(pool, size)]
+
+    full = full_partition()
+    groups = [
+        direct_product(generate_position(p for _, p in ps), generate_relabel(p for _, p in rs))
+        for ps in subsets(default_position_pool())
+        for rs in subsets(default_relabel_pool())
+    ]
+    elements = full_group().sorted_elements()
+    rng = random.Random(13)
+    groups += [generate(rng.sample(elements, rng.randint(1, 3))) for _ in range(60)]
+    rt_s4 = named_group("rtxS4")
+    assert rt_s4.order % 192 == 0 and orbits(rt_s4).block_count == 5
+    groups.append(rt_s4)
+    gated = set()
+    for g in groups:
+        complete = orbits(g) == full
+        assert is_complete(g) == complete
+        if g.order % 192 == 0:
+            gated.add(complete)
+    assert gated == {True, False}
 
 
 def test_two_orbits_equals_complete_for_subgroups():
@@ -211,6 +275,22 @@ def test_orbit_graph_components_match_oracle_in_order():
         graph = orbit_graph(gens)
         want = oracle_components(graph.nodes, [(e.src, e.dst) for e in graph.edges])
         assert graph.components() == want
+
+
+def test_orbit_graph_edges_match_the_action_oracle():
+    mixed = SymmetryElement(gen_r(), relabeling("(1 2 4)"))
+    graph = orbit_graph([("m", mixed), *named_generators(full_group())])
+    named = dict(named_generators(full_group()), m=mixed)
+    assert len(graph.edges) == 288 * 8
+    for edge in graph.edges:
+        assert edge.dst.values == oracle_apply(named[edge.label], edge.src.values)
+
+
+def test_orbit_graph_rejects_elements_outside_the_full_group():
+    swap12 = SymmetryElement.from_position(Perm.from_cycles("(1 2)", 16))
+    message = r"^symmetry pos=\(1 2\); rel= moves a board to \d{16}, not a valid board$"
+    with pytest.raises(ValueError, match=message):
+        orbit_graph([("x", swap12)])
 
 
 def test_orbit_graph_empty_generators():

@@ -129,6 +129,48 @@ def test_generate_matches_closure_oracle_on_random_mixed_elements():
         assert got.order == len(want)
 
 
+def test_closure_by_cosets_matches_oracle_on_0_to_4_generators():
+    # a repeated generator and the identity among the generators change nothing
+    elements = full_group().sorted_elements()
+    identity = SymmetryElement.identity()
+    rng = random.Random(12)
+    for size in range(5):
+        for _ in range(4):
+            gens = rng.sample(elements, size)
+            want = oracle_closure(gens)
+            padded = gens + rng.sample(gens, min(size, 1)) + [identity]
+            rng.shuffle(padded)
+            assert generate(gens).elements == want
+            assert generate(padded).elements == want
+    assert generate([identity, identity]) == trivial_group()
+
+
+@pytest.mark.parametrize(
+    "gens",
+    [
+        # (s, (1 2)) * (s, id) = (1, (1 2))
+        [(gen_s(), "(1 2)"), (gen_s(), "")],
+        # (r, (1 2 3)) ** 4 = (1, (1 2 3)), one generator alone
+        [(gen_r(), "(1 2 3)")],
+        # no generator or product of two is a non-identity relabel-only
+        # element, yet |K| = 3
+        [(gen_r(), "(1 2)"), (gen_t(), "(1 3)")],
+        [(gen_s(), "(1 2 3 4)"), (gen_t(), "(1 3)"), (gen_r2(), "(2 4)")],
+    ],
+)
+def test_closure_reaches_relabel_only_elements_through_mixed_generators(gens):
+    gens = [SymmetryElement(x, relabeling(rel) if rel else Perm.identity(4)) for x, rel in gens]
+    assert not any(e.pos.is_identity for e in gens)
+    want = oracle_closure(gens)
+    got = generate(gens)
+    assert got.elements == want
+    kernel = {e.rel for e in want if e.pos.is_identity}
+    assert len(kernel) > 1
+    # |G| = |position projection| * |relabel-only kernel|
+    assert got.order == len(got.position_parts()) * len(kernel)
+    assert len(got.position_parts()) == len({e.pos for e in want})
+
+
 def test_hand_built_group_checks_its_generators():
     full = full_group()
     assert SymmetryGroup(full.elements, full.generators) == full
