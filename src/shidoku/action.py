@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Hashable, Iterable
 
 from .board import Board, board_numbers, enumerate_all
 from .group import SymmetryGroup, element_number, factor_tables, full_group, image
@@ -87,10 +87,8 @@ class OrbitPartition:
 def _board_blocks(g: SymmetryGroup) -> list[list[int]]:
     """g's orbits in board numbers: the components of its generators'
     board images (group.image); SymmetryGroup checks that a hand-built
-    group's generators generate it, and a group with none moves by all
-    of its elements."""
-    movers = map(element_number, g.generators) if g.generators else g.numbers
-    return components(len(enumerate_all()), [image(n) for n in movers])
+    group's generators generate it."""
+    return components(len(enumerate_all()), [image(element_number(e)) for e in g.generators])
 
 
 def orbits(g: SymmetryGroup) -> OrbitPartition:
@@ -116,23 +114,31 @@ def is_complete(g: SymmetryGroup) -> bool:
 
 
 @dataclass(frozen=True)
-class OrbitEdge:
-    src: Board
-    dst: Board
+class Edge:
+    """One generator move src -> dst, undirected for an involution.
+
+    `aux` is the symmetry a nest graph needs to return the moved
+    representative to canonical form: a relabeling on position-generator
+    edges, a position symmetry on relabeling-generator edges; None when
+    no correction is needed.
+    """
+
+    src: Hashable
+    dst: Hashable
     label: str
     directed: bool
+    aux: Perm | None = None
 
 
 @dataclass(frozen=True)
-class OrbitGraph:
-    """Labeled multigraph of generator moves on a board set: one edge per
-    (board, generator) pair, self-loops included.  Edges for involutions
-    are marked undirected."""
+class Graph:
+    """Labeled multigraph of generator moves: one edge per (node,
+    generator) pair, self-loops included, listed generator by generator."""
 
-    nodes: tuple[Board, ...]
-    edges: tuple[OrbitEdge, ...]
+    nodes: tuple[Hashable, ...]
+    edges: tuple[Edge, ...]
 
-    def components(self) -> list[list[Board]]:
+    def components(self) -> list[list]:
         return graph_components(self.nodes, [(e.src, e.dst) for e in self.edges])
 
     @property
@@ -140,7 +146,7 @@ class OrbitGraph:
         return len(self.components())
 
 
-def orbit_graph(gens: Iterable[NamedElement | SymmetryElement]) -> OrbitGraph:
+def orbit_graph(gens: Iterable[NamedElement | SymmetryElement]) -> Graph:
     """Graph with one node per board and one labeled edge per
     (board, generator), read off the generator's board image.
 
@@ -156,8 +162,8 @@ def orbit_graph(gens: Iterable[NamedElement | SymmetryElement]) -> OrbitGraph:
     for name, e in named:
         directed = not (e * e).is_identity
         moved = image(element_number(e))
-        edges.extend(OrbitEdge(b, boards[k], name, directed) for b, k in zip(boards, moved))
-    return OrbitGraph(boards, tuple(edges))
+        edges.extend(Edge(b, boards[k], name, directed) for b, k in zip(boards, moved))
+    return Graph(boards, tuple(edges))
 
 
 def element_label(e: SymmetryElement) -> str:

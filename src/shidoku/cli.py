@@ -134,8 +134,7 @@ def cmd_orbits(args) -> int:
 def cmd_burnside(args) -> int:
     g = resolve_group(args.group)
     # the position parts of g's generators generate its position projection
-    parts = (e.pos for e in g.generators) if g.generators else g.position_parts()
-    table = invariance_table(generate_position(parts))
+    table = invariance_table(generate_position(e.pos for e in g.generators))
     lines = []
     rows_payload = []
     for k, (cls, count) in enumerate(table.rows, start=1):

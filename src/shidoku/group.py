@@ -9,6 +9,8 @@ products, conjugacy classes and membership multiply numbers through
 factor_tables(), and image(n) moves board numbers as element n does.
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
+A hand-built SymmetryGroup must be generated by its generators or, if
+given none, by its elements: anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -159,22 +161,21 @@ class SymmetryGroup:
     the generators it was built from.
 
     Built by hand, it raises ValueError unless the generators generate
-    exactly the given elements; generate and direct_product skip that
-    check.  A group with no generators is taken as given: orbits and
-    conjugacy_classes then move by all of its elements.
+    exactly the given elements; with no generators given, its sorted
+    elements are its generators and must be closed under products.
+    generate and direct_product skip that check.
     """
 
     __slots__ = ("numbers", "generators")
 
     def __init__(self, elements: Iterable[SymmetryElement], generators: Iterable[SymmetryElement]):
         self.numbers = frozenset(map(element_number, elements))
-        self.generators = tuple(generators)
-        if self.generators:
-            reached = _closure(map(element_number, self.generators))
-            if reached != self.numbers:
-                raise ValueError(
-                    f"generators generate {len(reached)} elements, not the {len(self.numbers)} given"
-                )
+        self.generators = tuple(generators) or tuple(map(element, sorted(self.numbers)))
+        reached = _closure(map(element_number, self.generators))
+        if reached != self.numbers:
+            raise ValueError(
+                f"generators generate {len(reached)} elements, not the {len(self.numbers)} given"
+            )
 
     @classmethod
     def _trusted(
@@ -268,10 +269,7 @@ def conjugacy_classes(g: SymmetryGroup) -> tuple[ConjugacyClass, ...]:
     """Conjugacy classes of g, ordered by minimal element; the
     representative of each class is its minimal element.  The classes
     are the components of conjugation by g's generators on g."""
-    conjugators = [
-        (c, _inverse(c))
-        for c in (map(element_number, g.generators) if g.generators else g.numbers)
-    ]
+    conjugators = [(c, _inverse(c)) for c in map(element_number, g.generators)]
     edges = [(x, _product(_product(c, x), cinv)) for c, cinv in conjugators for x in g.numbers]
     return tuple(
         ConjugacyClass(element(block[0]), frozenset(map(element, block)))

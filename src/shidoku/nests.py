@@ -17,8 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 from .board import Board, block_of, coords, enumerate_all
 from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
-from .action import apply_values, full_partition, position_apply
-from .unionfind import graph_components
+from .action import Edge, Graph, apply_values, full_partition, position_apply
 
 #: Canonical representatives of the twelve relabeling-orbits (S4-nests).
 S4_REPRESENTATIVES: dict[str, str] = {
@@ -62,39 +61,16 @@ class Nest:
 
 
 @dataclass(frozen=True)
-class NestEdge:
-    """Induced generator move between nests.
+class NestGraph(Graph):
+    """A quotient graph whose nodes are the labels of its nests."""
 
-    `aux` is the symmetry needed to return the moved representative to
-    canonical form: a relabeling for position-generator edges, a position
-    symmetry for relabeling-generator edges; None when no correction is
-    needed.
-    """
-
-    src: str
-    dst: str
-    label: str
-    aux: Perm | None
-    directed: bool
-
-
-@dataclass(frozen=True)
-class NestGraph:
     nests: tuple[Nest, ...]
-    edges: tuple[NestEdge, ...]
 
     def nest(self, label: str) -> Nest:
         for n in self.nests:
             if n.label == label:
                 return n
         raise KeyError(label)
-
-    def components(self) -> list[list[str]]:
-        return graph_components((n.label for n in self.nests), [(e.src, e.dst) for e in self.edges])
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components())
 
 
 def s4_canonicalize_with_relabeling(b: Board) -> tuple[Board, Perm]:
@@ -179,18 +155,10 @@ def h4_nests() -> tuple[Nest, ...]:
     return _nests(h4_canonicalize, _H4_LABELS, "position")
 
 
-def _nest_of(b: Board, canonical, labels: dict[Board, str]) -> str:
+def s4_nest_of(b: Board) -> str:
     if not b.is_valid():
         raise ValueError(f"not a valid Shidoku board: {b.text}")
-    return labels[canonical(b)]
-
-
-def s4_nest_of(b: Board) -> str:
-    return _nest_of(b, s4_canonicalize, _S4_LABELS)
-
-
-def h4_nest_of(b: Board) -> str:
-    return _nest_of(b, h4_canonicalize, _H4_LABELS)
+    return _S4_LABELS[s4_canonicalize(b)]
 
 
 def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
@@ -220,8 +188,8 @@ def _nest_graph(
         for n in nests:
             canon, fix = canonicalize(Board(apply_values(e, n.representative.values)))
             aux = None if fix.is_identity else fix
-            edges.append(NestEdge(n.label, index[canon], name, aux, directed))
-    return NestGraph(nests, tuple(edges))
+            edges.append(Edge(n.label, index[canon], name, directed, aux))
+    return NestGraph(tuple(n.label for n in nests), tuple(edges), nests)
 
 
 def s4_nest_graph(gens: Iterable) -> NestGraph:

@@ -47,6 +47,10 @@ class SearchResult:
 
     @property
     def minimal(self) -> bool:
+        """Complete at the least possible order, MINIMAL_COMPLETE_ORDER
+        (192).  Not the same as minimal by inclusion: some complete groups
+        of larger order have no complete proper subgroup (the order-384
+        group in test_a_complete_group_of_order_384_is_minimal_by_inclusion)."""
         return self.complete and self.order == MINIMAL_COMPLETE_ORDER
 
     @property

@@ -5,6 +5,7 @@ from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, rel
 from shidoku.group import (
     SymmetryGroup,
     conjugacy_classes,
+    element_number,
     generate,
     generate_position,
     named_group,
@@ -126,14 +127,14 @@ def test_burnside_matches_oracle_average():
 def test_burnside_rejects_non_groups():
     # not closed under composition; fixed-point total 312 is not divisible by 5
     r = gen_r()
-    fake = SymmetryGroup(
-        frozenset(
-            SymmetryElement.from_position(p)
-            for p in (Perm.identity(16), r, r * r, r * r * r, gen_s())
-        ),
-        (),
-    )
-    with pytest.raises(ValueError):
+    elements = [
+        SymmetryElement.from_position(p) for p in (Perm.identity(16), r, r * r, r * r * r, gen_s())
+    ]
+    with pytest.raises(ValueError, match="generators generate 64 elements, not the 5 given"):
+        SymmetryGroup(elements, ())
+    # built unchecked, the non-group reaches burnside's divisibility guard
+    fake = SymmetryGroup._trusted(frozenset(map(element_number, elements)), ())
+    with pytest.raises(ValueError, match="not divisible by group order 5"):
         burnside_orbit_count(fake)
 
 

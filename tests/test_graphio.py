@@ -106,3 +106,13 @@ def test_quoting_roundtrip():
     dot = export_nest_graph(s4_nest_graph([("odd\"name", gen_t())]))
     nodes, _ = parse_dot(dot)
     assert len(nodes) == 12
+
+
+def test_orbit_and_nest_graphs_share_one_writer():
+    # both exporters write any graph the same way; only orbit edges lack aux
+    orbit = orbit_graph(named_generators(generate_position([gen_r()])))
+    nest = s4_nest_graph([gen_t()])
+    for graph in (orbit, nest):
+        assert export_orbit_graph(graph, "g") == export_nest_graph(graph, "g")
+    assert all(e.aux is None for e in orbit.edges)
+    assert "aux=" in export_orbit_graph(nest) and "aux=" not in export_nest_graph(orbit)

@@ -13,7 +13,6 @@ from shidoku.nests import (
     h4_canonicalize,
     h4_canonicalize_with_transform,
     h4_nest_graph,
-    h4_nest_of,
     h4_nests,
     nest_partition,
     s4_canonicalize,
@@ -149,7 +148,7 @@ def test_nest_graph_components_match_oracle_in_order():
         want = oracle_components(labels, [(e.src, e.dst) for e in graph.edges])
         assert graph.components() == want
         # blocks by least label, labels sorted within, whatever the nest order
-        shuffled = NestGraph(graph.nests[::-1], graph.edges)
+        shuffled = NestGraph(graph.nodes[::-1], graph.edges, graph.nests[::-1])
         assert shuffled.components() == want
 
 
@@ -196,17 +195,16 @@ def test_nest_graph_rejects_mixed_or_wrong_degree():
 
 def test_nest_lookup_helpers():
     assert s4_nest_of(Board.from_text(TYPE1_TEXT)) == "B"
-    assert h4_nest_of(Board.from_text(TYPE1_TEXT)) == "a"
-    assert h4_nest_of(Board.from_text(TYPE2_TEXT)) == "d"  # one of the size-64 nests
-    # the lookups read the pinned tables; on every board they name the
+    h4 = {n.label: n.members for n in h4_nests()}
+    assert Board.from_text(TYPE1_TEXT) in h4["a"]
+    assert Board.from_text(TYPE2_TEXT) in h4["d"]  # one of the size-64 nests
+    assert sorted(b for members in h4.values() for b in members) == list(enumerate_all())
+    # the lookup reads the pinned table; on every board it names the
     # computed nest that holds it
-    for nests, nest_of in ((s4_nests(), s4_nest_of), (h4_nests(), h4_nest_of)):
-        holder = {b: n.label for n in nests for b in n.members}
-        assert {b: nest_of(b) for b in enumerate_all()} == holder
-    invalid = Board.from_text("1234341221434312")
-    for nest_of in (s4_nest_of, h4_nest_of):
-        with pytest.raises(ValueError, match="not a valid Shidoku board"):
-            nest_of(invalid)
+    holder = {b: n.label for n in s4_nests() for b in n.members}
+    assert {b: s4_nest_of(b) for b in enumerate_all()} == holder
+    with pytest.raises(ValueError, match="not a valid Shidoku board"):
+        s4_nest_of(Board.from_text("1234341221434312"))
     graph = s4_nest_graph(())
     with pytest.raises(KeyError):
         graph.nest("Z")

@@ -1,12 +1,14 @@
 import pytest
 
-from shidoku.perm import gen_r, gen_r2, gen_s, gen_t, relabeling
+from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, relabeling
 from shidoku.group import (
+    SymmetryGroup,
     direct_product,
+    generate,
     generate_position,
     generate_relabel,
 )
-from shidoku.action import full_partition, orbits
+from shidoku.action import full_partition, is_complete, orbits
 from shidoku.search import (
     MINIMAL_COMPLETE_ORDER,
     default_relabel_pool,
@@ -135,3 +137,39 @@ def test_parse_pool_file():
 def test_parse_pool_file_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_pool_file(text, 16)
+
+
+def test_a_complete_group_of_order_384_is_minimal_by_inclusion():
+    # search's "minimal" means order 192; this complete group of order 384
+    # (an order-32 position group times A4) has no complete proper subgroup
+    gens = [
+        SymmetryElement(Perm.from_cycles(pos, 16), Perm.from_cycles(rel, 4))
+        for pos, rel in (
+            ("(1 8 11 13 6 3 16 10)(2 4 12 9 5 7 15 14)", "(2 3 4)"),
+            ("(1 11 6 16)(2 15 5 12)(3 7 8 4)(9 10 14 13)", "(1 3 2)"),
+        )
+    ]
+    group = generate(gens)
+    assert group.order == 384 and is_complete(group)
+    # a complete group has an orbit of 192 boards, so a complete proper
+    # subgroup would have index 2: the kernel of a map onto C2, fixed by
+    # the generators' parities; a BFS over products finds every such map
+    identity = SymmetryElement(Perm.identity(16), Perm.identity(4))
+    kernels = []
+    for parities in ((0, 1), (1, 0), (1, 1)):
+        parity, queue, conflict = {identity: 0}, [identity], False
+        for x in queue:
+            for g, bit in zip(gens, parities):
+                y, want = g * x, parity[x] ^ bit
+                if y not in parity:
+                    parity[y] = want
+                    queue.append(y)
+                conflict |= parity[y] != want
+        assert len(parity) == 384
+        if not conflict:
+            kernels.append(SymmetryGroup([x for x, bit in parity.items() if bit == 0], ()))
+    assert len(kernels) == 3
+    for kernel in kernels:
+        assert kernel.order == 192 and not is_complete(kernel)
+        # four orbits, two of 48 boards and two of 96
+        assert sorted(orbits(kernel).sizes()) == [48, 48, 96, 96]
