@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import count
 from operator import eq
 
-from .board import Board, REGIONS, enumerate_all
+from .board import VALUES, Board, REGIONS, enumerate_all
 from .group import ConjugacyClass, SymmetryGroup, conjugacy_classes, element_number, image
 from .perm import Perm, SymmetryElement
 
@@ -23,22 +23,22 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
     """The unique relabeling sigma with sigma(x(b)) = b, or None.
 
     sigma must send b[i] to b[x(i)], and a 0 (never renamed) onto a 0.
-    Raises ValueError, as apply does, unless b has exactly 16 values, or
-    on a value below 0 or above 4.
+    Raises ValueError, as apply does, unless b has exactly 16 values in
+    0..4, checked before any cell is read; also unless x has degree 16.
     """
     values = b.values
-    sigma: dict[int, int | None] = {0: 0, 1: None, 2: None, 3: None, 4: None}
-    consistent = True
-    try:
-        for v, w in zip(values, (values[j - 1] for j in x.image), strict=True):
-            if sigma[v] is None:
-                sigma[v] = w
-            elif sigma[v] != w:
-                consistent = False
-    except (IndexError, KeyError):
-        raise ValueError(f"not 16 board values in 0..4: {values!r}") from None
-    image = (sigma[1], sigma[2], sigma[3], sigma[4])
-    return Perm(image) if consistent and set(image) == {1, 2, 3, 4} else None
+    if len(values) != 16 or min(values) < 0 or max(values) > 4:
+        raise ValueError(f"not 16 board values in 0..4: {values!r}")
+    if x.degree != 16:
+        raise ValueError(f"not a cell permutation: degree {x.degree}")
+    sigma = {0: 0}
+    put = sigma.setdefault
+    for v, j in zip(values, x.image):
+        w = values[j - 1]
+        if put(v, w) != w:
+            return None
+    image = tuple(map(sigma.get, VALUES))
+    return Perm._trusted(image) if set(image) == {1, 2, 3, 4} else None
 
 
 def invariant_count(x: Perm) -> int:
@@ -108,11 +108,11 @@ def check_fixing_lemmas(x: Perm, b: Board) -> bool:
     sigma = relabel_recovery(x, b)
     if sigma is None:
         raise ValueError("board is not invariant under x; fixing rules do not apply")
-    fixed = {i for i in range(1, 17) if x(i) == i}
-    value = b.value_at
+    v, pos = b.values, x.image
+    s = (0,) + sigma.image  # s[n] = sigma(n); a 0 is never renamed
+    fixed = {i for i, j in enumerate(pos, start=1) if i == j}
     return (
-        all(sigma(value(i)) == value(i) for i in fixed)
-        and (sigma.is_identity or not any(fixed.issuperset(region) for region in REGIONS))
-        and all(value(x(i)) == value(i) for i in range(1, 17) if sigma(value(i)) == value(i))
+        all(s[v[i - 1]] == v[i - 1] for i in fixed)
+        and (sigma.is_identity or not any(map(fixed.issuperset, REGIONS)))
+        and all(v[j - 1] == n for n, j in zip(v, pos) if s[n] == n)
     )
-

@@ -206,10 +206,6 @@ class SymmetryGroup:
     def is_relabel_only(self) -> bool:
         return all(n < RELABELINGS for n in self.numbers)
 
-    def position_parts(self) -> tuple[Perm, ...]:
-        """Sorted distinct position parts; a group when self is a product."""
-        return tuple(sorted({element(n).pos for n in self.numbers}))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymmetryGroup):
             return NotImplemented

@@ -23,6 +23,10 @@ from .board import cell_at, coords
 POSITION_DEGREE = 16
 RELABEL_DEGREE = 4
 
+# bound once: the unchecked constructors below run for every product
+_new = object.__new__
+_set = object.__setattr__
+
 
 @dataclass(frozen=True, order=True)
 class Perm:
@@ -40,9 +44,9 @@ class Perm:
 
     @classmethod
     def _trusted(cls, image: tuple[int, ...]) -> "Perm":
-        """Unchecked Perm, for products and inverses of valid ones."""
-        p = object.__new__(cls)
-        object.__setattr__(p, "image", image)
+        """Unchecked Perm, for products, inverses and images known to be bijections."""
+        p = _new(cls)
+        _set(p, "image", image)
         return p
 
     @classmethod
@@ -86,10 +90,10 @@ class Perm:
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Compose, right factor first: (a * b)(i) = a(b(i))."""
-        if self.degree != other.degree:
+        image, other_image = self.image, other.image
+        if len(image) != len(other_image):
             raise ValueError("cannot compose permutations of different degrees")
-        image = self.image
-        return Perm._trusted(tuple([image[j - 1] for j in other.image]))
+        return Perm._trusted(tuple([image[j - 1] for j in other_image]))
 
     def inverse(self) -> "Perm":
         img = [0] * self.degree
@@ -225,9 +229,9 @@ class SymmetryElement:
     @classmethod
     def _trusted(cls, pos: Perm, rel: Perm) -> "SymmetryElement":
         """Unchecked element, for products and inverses of valid ones."""
-        e = object.__new__(cls)
-        object.__setattr__(e, "pos", pos)
-        object.__setattr__(e, "rel", rel)
+        e = _new(cls)
+        _set(e, "pos", pos)
+        _set(e, "rel", rel)
         return e
 
     @classmethod

@@ -62,11 +62,18 @@ def components(size: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
 def graph_components(nodes: Iterable[T], edges: Sequence[tuple[T, T]]) -> list[list[T]]:
     """Components of a graph with one edge per (node, generator), listed
     generator by generator: each run of len(nodes) (src, dst) pairs is a
-    permutation of the nodes.  Sorted as components sorts, by node order."""
+    permutation of the nodes.  Sorted as components sorts, by node order.
+    Raises ValueError on an edge count that is not a multiple of
+    len(nodes), or on an endpoint that is not a node."""
     order = sorted(nodes)
     index = {x: k for k, x in enumerate(order)}
     n = len(order)
     maps = [list(range(n)) for _ in range(0, len(edges), n or 1)]
-    for i, (x, y) in enumerate(edges):
-        maps[i // n][index[x]] = index[y]
+    if n * len(maps) != len(edges):
+        raise ValueError(f"{len(edges)} edges are not runs of {n} nodes")
+    try:
+        for i, (x, y) in enumerate(edges):
+            maps[i // n][index[x]] = index[y]
+    except KeyError as missing:
+        raise ValueError(f"edge endpoint {missing.args[0]!r} is not a node") from None
     return [[order[k] for k in block] for block in components(n, maps)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .board import Board, count_with_ones_configuration, enumerate_all, validate
+from .board import Board, board_numbers, count_with_ones_configuration, enumerate_all, validate
 from .perm import (
     Perm,
     SymmetryElement,
@@ -33,7 +33,7 @@ from .group import (
     position_group,
     relabel_group,
 )
-from .action import apply, full_partition, is_complete, named_generators, orbit_graph, orbits
+from .action import apply, apply_values, full_partition, is_complete, named_generators, orbit_graph, orbits
 from .burnside import (
     burnside_orbit_count,
     check_fixing_lemmas,
@@ -231,11 +231,14 @@ def check_action_and_relations() -> None:
     Relations: r^4 = s^2 = t^2 = (tr)^2 = (ts)^4 = (srsr^3)^2 = id and
     r^2 s r t s r^3 t = id, composed right factor first.  Action laws:
     the identity fixes every board; every generator sends every board to
-    a valid board; apply(a * b, board) == apply(a, apply(b, board)) for
-    every generator a and every full-group element b on the two orbit
-    representatives (which extends to all pairs by induction on word
-    length), and for all element pairs of the minimal complete group
-    <s,t> x S4 on the Type 1 representative.
+    a valid board; the full group is closed under each generator; and
+    apply(a * b, board) == apply(a, apply(b, board)) for every generator
+    a and every full-group element b on the two orbit representatives
+    (which extends to all pairs by induction on word length), and for
+    all element pairs of the minimal complete group <s,t> x S4 on the
+    Type 1 representative.  Each image is computed once through
+    apply_values and looked up by board number, each product a * b by
+    SymmetryElement multiplication, never through the factor tables.
     """
     r, s, t = gen_r(), gen_s(), gen_t()
 
@@ -258,35 +261,49 @@ def check_action_and_relations() -> None:
         expect(value.is_identity, f"relation {name} does not hold: {value.cycle_notation()}")
 
     boards = enumerate_all()
+    numbers = board_numbers()
     identity = SymmetryElement.identity()
     for b in boards:
         if apply(identity, b) != b:
             raise AssertionError(f"identity moved board {b.text}")
 
+    def number(e: SymmetryElement, b: Board) -> int:
+        k = numbers.get(apply_values(e, b.values))
+        if k is None:
+            raise AssertionError(f"element {e} sends {b.text} off the boards")
+        return k
+
     generators = position_elements([r, s, t]) + [
         SymmetryElement.from_relabeling(p) for p in relabel_generators()
     ]
+    moves = []  # moves[g][k]: generator g's image of board k
     for e in generators:
+        row = []
         for b in boards:
-            if not validate(apply(e, b).values):
+            moved = apply_values(e, b.values)
+            if not validate(moved):
                 raise AssertionError(f"generator broke board {b.text}")
+            row.append(numbers[moved])
+        moves.append(row)
 
     reps = (Board.from_text(TYPE1_REPRESENTATIVE), Board.from_text(TYPE2_REPRESENTATIVE))
-    for b_el in full_group().sorted_elements():
-        moved = [(board, apply(b_el, board)) for board in reps]
-        for a in generators:
-            ab = a * b_el
-            for board, b_board in moved:
-                if apply(ab, board) != apply(a, b_board):
-                    raise AssertionError(f"action law fails for generator pair on {board.text}")
+    on_reps = {e: (number(e, reps[0]), number(e, reps[1])) for e in full_group().sorted_elements()}
+    for b_el, (k1, k2) in on_reps.items():
+        for a, row in zip(generators, moves):
+            ab = on_reps.get(a * b_el)
+            expect(ab is not None, "full group is not closed under a generator")
+            if ab != (row[k1], row[k2]):
+                board = reps[ab[0] == row[k1]]  # the first that differs
+                raise AssertionError(f"action law fails for generator pair on {board.text}")
 
-    minimal = named_group("stxS4").sorted_elements()
-    type1 = reps[0]
-    for b_el in minimal:
-        b_type1 = apply(b_el, type1)
-        for a in minimal:
+    on_type1 = {e: number(e, reps[0]) for e in named_group("stxS4").sorted_elements()}
+    for a in on_type1:
+        a_moves: dict[int, int] = {}  # a's image of each board in Type 1's orbit
+        for b_el, k in on_type1.items():
+            if k not in a_moves:
+                a_moves[k] = number(a, boards[k])
             expect(
-                apply(a * b_el, type1) == apply(a, b_type1),
+                on_type1.get(a * b_el) == a_moves[k],
                 "action law fails inside <s,t> x S4",
             )
 

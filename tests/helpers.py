@@ -98,6 +98,12 @@ def is_subgroup(a: SymmetryGroup, b: SymmetryGroup) -> bool:
     return a.elements <= b.elements
 
 
+def position_parts(g: SymmetryGroup) -> tuple[Perm, ...]:
+    """Sorted distinct position parts of g's elements; a group when g is
+    a product."""
+    return tuple(sorted({e.pos for e in g.elements}))
+
+
 def relabel_parts(g: SymmetryGroup) -> tuple[Perm, ...]:
     """Sorted distinct relabel parts of g's elements."""
     return tuple(sorted({e.rel for e in g.elements}))

@@ -63,6 +63,14 @@ def test_recovery_matches_brute_force_oracle():
             assert got == (brute[0] if brute else None)
 
 
+def test_recovery_matches_brute_force_oracle_on_the_position_group():
+    # the first inconsistent cell ends the scan; every symmetry of H4
+    for e in position_group().sorted_elements():
+        for b in enumerate_all()[::9]:
+            brute = oracle_recoveries(e.pos, b)
+            assert relabel_recovery(e.pos, b) == (brute[0] if brute else None)
+
+
 def test_recovery_rejects_malformed_boards():
     # as apply does: a wrong length or a value above 4 raises, never None
     values = Board.from_text(TYPE1_TEXT).values
@@ -73,6 +81,12 @@ def test_recovery_rejects_malformed_boards():
                 apply(SymmetryElement.from_position(x), b)
             with pytest.raises(ValueError):
                 relabel_recovery(x, b)
+
+
+def test_recovery_rejects_a_permutation_of_fewer_cells():
+    # (1 2) as a cell permutation is consistent on the first four cells
+    with pytest.raises(ValueError, match="not a cell permutation"):
+        relabel_recovery(relabeling("(1 2)"), Board.from_text(TYPE1_TEXT))
 
 
 @pytest.mark.parametrize("negative", [-1, -5])

@@ -34,7 +34,7 @@ from shidoku.group import (
     trivial_group,
 )
 from shidoku.search import default_position_pool, default_relabel_pool
-from helpers import format_group_description, is_subgroup, oracle_closure, relabel_parts
+from helpers import format_group_description, is_subgroup, oracle_closure, position_parts, relabel_parts
 
 
 @pytest.mark.parametrize(
@@ -167,8 +167,8 @@ def test_closure_reaches_relabel_only_elements_through_mixed_generators(gens):
     kernel = {e.rel for e in want if e.pos.is_identity}
     assert len(kernel) > 1
     # |G| = |position projection| * |relabel-only kernel|
-    assert got.order == len(got.position_parts()) * len(kernel)
-    assert len(got.position_parts()) == len({e.pos for e in want})
+    assert got.order == len(position_parts(got)) * len(kernel)
+    assert len(position_parts(got)) == len({e.pos for e in want})
 
 
 def test_hand_built_group_checks_its_generators():
@@ -237,7 +237,7 @@ def test_generators_position_parts_generate_the_position_projection():
     groups = [named_group(spec) for spec in ("full", "stxS4", "rsxc123", "S4")]
     groups += [generate(rng.sample(elements, rng.choice((1, 2)))) for _ in range(10)]
     for group in groups:
-        projection = generate_position(group.position_parts())
+        projection = generate_position(position_parts(group))
         assert generate_position(e.pos for e in group.generators) == projection
 
 
@@ -282,7 +282,7 @@ def test_projection_helpers():
     assert st.is_position_only() and not st.is_relabel_only()
     assert relabel_group().is_relabel_only()
     product = direct_product(st, relabel_group())
-    assert len(product.position_parts()) == 8
+    assert len(position_parts(product)) == 8
     assert len(relabel_parts(product)) == 24
 
 

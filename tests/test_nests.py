@@ -152,6 +152,14 @@ def test_nest_graph_components_match_oracle_in_order():
         assert shuffled.components() == want
 
 
+def test_nest_graph_whose_nodes_miss_its_edges_raises_value_error():
+    graph = s4_nest_graph([gen_s(), gen_t()])
+    with pytest.raises(ValueError, match="24 edges are not runs of 11 nodes"):
+        NestGraph(graph.nodes[:-1], graph.edges, graph.nests).components()
+    with pytest.raises(ValueError, match="endpoint 'L' is not a node"):
+        NestGraph(graph.nodes[:-1] + ("Z",), graph.edges, graph.nests).components()
+
+
 def test_h4_nest_graph_three_cycle():
     graph = h4_nest_graph([relabeling("(1 2 3)")])
     moves = {e.src: e.dst for e in graph.edges}

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from shidoku.unionfind import UnionFind, components, graph_components
 
 
@@ -51,3 +53,13 @@ def test_graph_components_maps_edges_by_position_in_node_order():
     edges = [("c", "c"), ("a", "b"), ("b", "a"), ("a", "a"), ("b", "b"), ("c", "c")]
     assert graph_components(["c", "b", "a"], edges) == [["a", "b"], ["c"]]
     assert graph_components(["b", "a"], []) == [["a"], ["b"]]
+
+
+def test_graph_components_rejects_edges_that_do_not_fit_the_nodes():
+    edges = [("a", "b"), ("b", "a")]
+    with pytest.raises(ValueError, match="2 edges are not runs of 3 nodes"):
+        graph_components(["a", "b", "c"], edges)
+    with pytest.raises(ValueError, match="2 edges are not runs of 0 nodes"):
+        graph_components([], edges)
+    with pytest.raises(ValueError, match="endpoint 'b' is not a node"):
+        graph_components(["a", "c"], edges)
