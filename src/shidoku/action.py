@@ -14,27 +14,10 @@ from typing import Hashable, Iterable
 
 from .board import Board, board_numbers, enumerate_all
 from .group import SymmetryGroup, element_number, factor_tables, full_group, image
-from .perm import Perm, SymmetryElement, perm_label, standard_name
+from .perm import Perm, SymmetryElement, apply_values, perm_label, standard_name
 from .unionfind import components, graph_components
 
 NamedElement = tuple[str, SymmetryElement]
-
-
-def apply_values(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]:
-    """The value in cell i lands in cell e.pos(i), renamed by e.rel.
-
-    Raises ValueError unless there are exactly 16 values, or on a value
-    below 0 or above 4; a 0 value is moved but not renamed.
-    """
-    r = e.rel.image
-    rename = {0: 0, 1: r[0], 2: r[1], 3: r[2], 4: r[3]}
-    out = [0] * 16
-    try:
-        for target, v in zip(e.pos.image, values, strict=True):
-            out[target - 1] = rename[v]
-    except KeyError:
-        raise ValueError(f"board value {v} out of range 0..4") from None
-    return tuple(out)
 
 
 def apply(e: SymmetryElement, b: Board) -> Board:
@@ -81,7 +64,10 @@ class OrbitPartition:
 
     def block_of(self, b: Board) -> int:
         """Index of the block holding b; ValueError unless b is a valid board."""
-        return [board_numbers().get(b.values) in block for block in self.numbers].index(True)
+        n = board_numbers().get(b.values)
+        if n is None:
+            raise ValueError(f"not a valid Shidoku board: {b.text}")
+        return [n in block for block in self.numbers].index(True)
 
 
 def _board_blocks(g: SymmetryGroup) -> list[list[int]]:

@@ -68,8 +68,8 @@ def resolve_group(spec: str) -> SymmetryGroup:
     )
 
 
-def _parse_relabel_token(token: str) -> Perm:
-    """Relabeling cycle token; digits may be packed, e.g. '(123)' == '(1 2 3)'."""
+def _parse_relabel_token(token: str) -> tuple[str, Perm]:
+    """Relabeling cycle token, with its label; digits may be packed, e.g. '(123)' == '(1 2 3)'."""
     text = token.strip()
     if "(" in text and " " not in text:
         text = text.replace(")(", ") (")
@@ -78,116 +78,94 @@ def _parse_relabel_token(token: str) -> Perm:
             for part in text.replace("(", " ").replace(")", " ").split()
         )
     try:
-        return Perm.from_cycles(text, 4)
+        perm = Perm.from_cycles(text, 4)
     except ValueError as exc:
         raise CliError(f"bad relabeling token {token!r}: {exc}") from exc
+    return perm_label(perm), perm
 
 
-def _parse_gen_list(text: str, factor: str) -> list[tuple[str, Perm]]:
-    tokens = [tok for tok in text.split(",") if tok.strip()]
-    named: list[tuple[str, Perm]] = []
+def _parse_position_token(token: str) -> tuple[str, Perm]:
     standard = dict(standard_position_generators())
-    for token in tokens:
-        token = token.strip()
-        if factor == "s4":
-            if token not in standard:
-                raise CliError(
-                    f"unknown position generator {token!r}; use {', '.join(standard)}"
-                )
-            named.append((token, standard[token]))
-        else:
-            perm = _parse_relabel_token(token)
-            named.append((perm_label(perm), perm))
-    return named
+    if token not in standard:
+        raise CliError(f"unknown position generator {token!r}; use {', '.join(standard)}")
+    return token, standard[token]
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _factor(args):
+    """The --factor's nests function, nest-graph function and --gens token
+    parser.  The table is built per call, so a function rebound on this
+    module (as the benchmark's tracer does) is the one called."""
+    return {
+        "s4": (s4_nests, s4_nest_graph, _parse_position_token),
+        "h4": (h4_nests, h4_nest_graph, _parse_relabel_token),
+    }[args.factor]
+
+
+def _emit(args, payload: dict, lines: Iterable[str]) -> int:
+    """Print the payload as JSON, or its text lines; the exit status."""
     if args.format == "json":
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in text_lines:
+        for line in lines:
             print(line)
+    return 0
 
 
 def cmd_enumerate(args) -> int:
-    boards = enumerate_all()
-    _emit(args, {"boards": [b.text for b in boards]}, [b.text for b in boards])
-    return 0
+    boards = [b.text for b in enumerate_all()]
+    return _emit(args, {"boards": boards}, boards)
 
 
 def cmd_orbits(args) -> int:
-    g = resolve_group(args.group)
-    blocks = orbits(g).blocks
-    lines = [
-        f"block {k}: size {len(block)}, min {block[0].text}"
-        for k, block in enumerate(blocks, start=1)
-    ]
-    payload = {
-        "blocks": [
-            {"size": len(block), "min": block[0].text} for block in blocks
-        ]
-    }
-    _emit(args, payload, lines)
-    return 0
+    blocks = orbits(resolve_group(args.group)).blocks
+    rows = [{"size": len(block), "min": block[0].text} for block in blocks]
+    lines = (f"block {k}: size {r['size']}, min {r['min']}" for k, r in enumerate(rows, start=1))
+    return _emit(args, {"blocks": rows}, lines)
 
 
 def cmd_burnside(args) -> int:
     g = resolve_group(args.group)
     # the position parts of g's generators generate its position projection
     table = invariance_table(generate_position(e.pos for e in g.generators))
-    lines = []
-    rows_payload = []
-    for k, (cls, count) in enumerate(table.rows, start=1):
-        rep = cls.representative.pos.cycle_notation() or "()"
-        lines.append(
-            f"class {k}: size {cls.size}, rep {rep}, invariant {count // 24}*4! ({count})"
-        )
-        rows_payload.append({"size": cls.size, "rep": rep, "invariant": count})
-    burnside = burnside_orbit_count(g)
-    direct = orbits(g).block_count
-    lines += [
-        f"group order: {g.order}",
-        f"orbit count (burnside): {burnside}",
-        f"orbit count (direct): {direct}",
+    rows = [
+        {"size": cls.size, "rep": cls.representative.pos.cycle_notation() or "()", "invariant": n}
+        for cls, n in table.rows
     ]
     payload = {
-        "classes": rows_payload,
+        "classes": rows,
         "order": g.order,
-        "orbits_burnside": burnside,
-        "orbits_direct": direct,
+        "orbits_burnside": burnside_orbit_count(g),
+        "orbits_direct": orbits(g).block_count,
     }
-    _emit(args, payload, lines)
-    return 0
+    lines = [
+        f"class {k}: size {r['size']}, rep {r['rep']}, "
+        f"invariant {r['invariant'] // 24}*4! ({r['invariant']})"
+        for k, r in enumerate(rows, start=1)
+    ] + [
+        f"group order: {payload['order']}",
+        f"orbit count (burnside): {payload['orbits_burnside']}",
+        f"orbit count (direct): {payload['orbits_direct']}",
+    ]
+    return _emit(args, payload, lines)
 
 
 def cmd_nests(args) -> int:
-    nests = s4_nests() if args.factor == "s4" else h4_nests()
-    lines = [
-        f"nest {n.label}: size {n.size}, rep {n.representative.text}" for n in nests
-    ]
-    payload = {
-        "nests": [
-            {"label": n.label, "size": n.size, "rep": n.representative.text}
-            for n in nests
-        ]
-    }
-    _emit(args, payload, lines)
-    return 0
+    nests, _, _ = _factor(args)
+    rows = [{"label": n.label, "size": n.size, "rep": n.representative.text} for n in nests()]
+    lines = (f"nest {r['label']}: size {r['size']}, rep {r['rep']}" for r in rows)
+    return _emit(args, {"nests": rows}, lines)
 
 
 def cmd_nest_graph(args) -> int:
-    named = _parse_gen_list(args.gens, args.factor)
-    if args.factor == "s4":
-        graph = s4_nest_graph(named)
-    else:
-        graph = h4_nest_graph(named)
+    _, nest_graph, parse_token = _factor(args)
+    named = [parse_token(token.strip()) for token in args.gens.split(",") if token.strip()]
+    graph = nest_graph(named)
     if args.dot:
         name = f"{args.factor}-nests[{','.join(n for n, _ in named)}]"
         Path(args.dot).write_text(export_nest_graph(graph, name))
-    components = graph.components()
-    payload = {"components": len(components), "blocks": components}
-    _emit(args, payload, [f"components: {len(components)}"])
-    return 0
+    blocks = graph.components()
+    payload = {"components": len(blocks), "blocks": blocks}
+    return _emit(args, payload, [f"components: {len(blocks)}"])
 
 
 def _read_pool(path: str | None, degree: int):
@@ -204,31 +182,26 @@ def cmd_search(args) -> int:
     relabel_pool = _read_pool(args.relabel_pool, 4)
     if position_pool is not None:
         _check_position_symmetries(args.position_pool, (p for _, p in position_pool))
-    results = search_products(position_pool, relabel_pool)
-    if args.minimal_only:
-        results = tuple(res for res in results if res.minimal)
-    lines = []
-    payload_rows = []
-    for res in results:
-        pos = ",".join(res.position_names) or "-"
-        rel = ",".join(res.relabel_names) or "-"
-        lines.append(
-            f"pos={pos} rel={rel} order={res.order} orbits={res.orbit_count} "
-            f"complete={'yes' if res.complete else 'no'} "
-            f"minimal={'yes' if res.minimal else 'no'}"
-        )
-        payload_rows.append(
-            {
-                "position_gens": list(res.position_names),
-                "relabel_gens": list(res.relabel_names),
-                "order": res.order,
-                "orbits": res.orbit_count,
-                "complete": res.complete,
-                "minimal": res.minimal,
-            }
-        )
-    _emit(args, {"results": payload_rows}, lines)
-    return 0
+    rows = [
+        {
+            "position_gens": list(res.position_names),
+            "relabel_gens": list(res.relabel_names),
+            "order": res.order,
+            "orbits": res.orbit_count,
+            "complete": res.complete,
+            "minimal": res.minimal,
+        }
+        for res in search_products(position_pool, relabel_pool)
+    ]
+    rows = [r for r in rows if r["minimal"] or not args.minimal_only]
+    yes = {True: "yes", False: "no"}
+    lines = (
+        f"pos={','.join(r['position_gens']) or '-'} rel={','.join(r['relabel_gens']) or '-'} "
+        f"order={r['order']} orbits={r['orbits']} "
+        f"complete={yes[r['complete']]} minimal={yes[r['minimal']]}"
+        for r in rows
+    )
+    return _emit(args, {"results": rows}, lines)
 
 
 def cmd_export(args) -> int:

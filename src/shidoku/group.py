@@ -24,6 +24,7 @@ from .perm import (
     RELABEL_GENERATOR_NAMES,
     Perm,
     SymmetryElement,
+    apply_values,
     position_elements,
     relabel_elements,
     relabeling,
@@ -48,8 +49,6 @@ class FactorTable(NamedTuple):
 
 def _applied(e: SymmetryElement) -> Iterator[tuple[int, ...]]:
     """e applied to the values of each board, in board order."""
-    from .action import apply_values  # action imports this module
-
     return (apply_values(e, b.values) for b in enumerate_all())
 
 

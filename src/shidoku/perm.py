@@ -260,6 +260,23 @@ class SymmetryElement:
         return f"pos={self.pos.cycle_notation()}; rel={self.rel.cycle_notation()}"
 
 
+def apply_values(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]:
+    """The value in cell i lands in cell e.pos(i), renamed by e.rel.
+
+    Raises ValueError unless there are exactly 16 values, or on a value
+    below 0 or above 4; a 0 value is moved but not renamed.
+    """
+    r = e.rel.image
+    rename = {0: 0, 1: r[0], 2: r[1], 3: r[2], 4: r[3]}
+    out = [0] * 16
+    try:
+        for target, v in zip(e.pos.image, values, strict=True):
+            out[target - 1] = rename[v]
+    except KeyError:
+        raise ValueError(f"board value {v} out of range 0..4") from None
+    return tuple(out)
+
+
 def position_elements(perms: Iterable[Perm]) -> list[SymmetryElement]:
     return [SymmetryElement.from_position(p) for p in perms]
 

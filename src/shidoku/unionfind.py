@@ -64,11 +64,12 @@ def graph_components(nodes: Iterable[T], edges: Sequence[tuple[T, T]]) -> list[l
     generator by generator: each run of len(nodes) (src, dst) pairs is a
     permutation of the nodes.  Sorted as components sorts, by node order.
     Raises ValueError on an edge count that is not a multiple of
-    len(nodes), or on an endpoint that is not a node."""
+    len(nodes), on an endpoint that is not a node, or on a run that does
+    not name every node once as a source and once as a target."""
     order = sorted(nodes)
     index = {x: k for k, x in enumerate(order)}
     n = len(order)
-    maps = [list(range(n)) for _ in range(0, len(edges), n or 1)]
+    maps = [[-1] * n for _ in range(0, len(edges), n or 1)]
     if n * len(maps) != len(edges):
         raise ValueError(f"{len(edges)} edges are not runs of {n} nodes")
     try:
@@ -76,4 +77,8 @@ def graph_components(nodes: Iterable[T], edges: Sequence[tuple[T, T]]) -> list[l
             maps[i // n][index[x]] = index[y]
     except KeyError as missing:
         raise ValueError(f"edge endpoint {missing.args[0]!r} is not a node") from None
+    identity = list(range(n))
+    for k, m in enumerate(maps, start=1):
+        if sorted(m) != identity:
+            raise ValueError(f"edge run {k} does not name each node once as source and target")
     return [[order[k] for k in block] for block in components(n, maps)]

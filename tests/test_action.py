@@ -152,9 +152,9 @@ def test_orbit_partition_holds_board_numbers():
 
 def test_orbit_partition_block_of_rejects_invalid_boards():
     part = full_partition()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a valid Shidoku board: 1111111111111111$"):
         part.block_of(Board((1,) * 16))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^not a valid Shidoku board: 123$"):
         part.block_of(Board((1, 2, 3)))
 
 

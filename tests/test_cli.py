@@ -1,9 +1,14 @@
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shidoku import cli
+from shidoku.group import GROUP_SHORTHANDS, position_group, relabel_group
 from shidoku.nests import h4_nest_graph, s4_nest_graph
 from shidoku.perm import gen_r, gen_s, gen_t, relabeling
 from helpers import dot_component_count, parse_dot
@@ -143,6 +148,30 @@ def test_search_output_matches_golden(capsys, argv, golden):
     assert out == (GOLDEN / golden).read_text()
 
 
+GOLDEN_REPORTS = [
+    (("enumerate", "--format", "json"), "enumerate.json"),
+    (("orbits", "--group", "rtxS4", "--format", "json"), "orbits-rtxS4.json"),
+    (("nests", "--factor", "s4", "--format", "json"), "nests-s4.json"),
+    (("nests", "--factor", "h4", "--format", "json"), "nests-h4.json"),
+    (("nest-graph", "--factor", "h4", "--gens", "(12),(23)", "--format", "json"),
+     "nest-graph-h4.json"),
+    (("nest-graph", "--factor", "h4", "--gens", "(12),(23)", "--dot", "{dot}"),
+     "nest-graph-h4.dot"),
+    (("search", "--minimal-only"), "search-minimal.txt"),
+    (("search", "--minimal-only", "--format", "json"), "search-minimal.json"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN_REPORTS, ids=[g for _, g in GOLDEN_REPORTS])
+def test_report_matches_golden(tmp_path, capsys, argv, golden):
+    # the reports the benchmark's golden files do not pin, byte for byte;
+    # a .dot golden is the file --dot writes
+    dot = tmp_path / "graph.dot"
+    code, out, _ = run(capsys, *(arg.format(dot=dot) for arg in argv))
+    assert code == 0
+    assert (dot.read_text() if golden.endswith(".dot") else out) == (GOLDEN / golden).read_text()
+
+
 def test_search_minimal_only(capsys):
     code, out, _ = run(capsys, "search", "--minimal-only")
     assert code == 0
@@ -258,3 +287,96 @@ def test_verify_exit_codes(monkeypatch, capsys):
     assert cli.main(["verify"]) == 0
     monkeypatch.setattr(cli, "run_checks", lambda write: False)
     assert cli.main(["verify"]) == 1
+
+
+# Inputs for the fuzz test below: valid pieces mixed with junk.  A file
+# argument is an (option, bytes) pair, written to a file before the run.
+position_cycles = sorted({e.pos.cycle_notation() for e in position_group().sorted_elements()})
+relabel_cycles = sorted({e.rel.cycle_notation() for e in relabel_group().sorted_elements()})
+cycle_strings = st.one_of(
+    st.text(alphabet="() 0123456789", max_size=14),
+    st.builds(
+        lambda cycles, sep: "".join(f"({sep.join(map(str, c))})" for c in cycles),
+        st.lists(st.lists(st.integers(0, 17), min_size=1, max_size=4), max_size=3),
+        st.sampled_from(["", " "]),
+    ),
+)
+junk = st.text(max_size=12)
+
+
+def lines_text(line, header=st.just([])):
+    texts = st.builds(
+        lambda head, body, noise: "\n".join(head + body + noise),
+        header,
+        st.lists(line, max_size=3),
+        st.lists(st.one_of(junk, st.sampled_from(["# note", ""])), max_size=1),
+    )
+    return st.one_of(texts.map(str.encode), st.binary(max_size=24))
+
+
+def pool_file(cycles):
+    names = st.one_of(st.sampled_from(["a", "b"]), junk)
+    entries = st.builds("{}={}".format, names, st.one_of(st.sampled_from(cycles), cycle_strings))
+    return lines_text(entries)
+
+
+group_file = lines_text(
+    st.builds(
+        "pos={}; rel={}".format,
+        st.one_of(st.sampled_from(position_cycles), cycle_strings),
+        st.one_of(st.sampled_from(relabel_cycles), cycle_strings),
+    ),
+    st.sampled_from([["generators:"], []]),
+)
+position_pool, relabel_pool = pool_file(position_cycles), pool_file(relabel_cycles)
+gen_lists = st.lists(
+    st.one_of(st.sampled_from(["r", "r2", "s", "t", "q", " s "]), cycle_strings, junk), max_size=3
+)
+group_specs = st.one_of(
+    st.sampled_from(GROUP_SHORTHANDS),
+    st.builds("{}x{}".format, *[st.sampled_from([*GROUP_SHORTHANDS, ""])] * 2),
+    junk,
+)
+formats = st.sampled_from(["--format=text", "--format=json"])
+cli_inputs = st.one_of(
+    st.builds(
+        lambda factor, gens, fmt: ["nest-graph", factor, f"--gens={','.join(gens)}", fmt],
+        st.sampled_from(["--factor=s4", "--factor=h4"]),
+        gen_lists,
+        formats,
+    ),
+    st.builds(lambda spec, fmt: ["orbits", f"--group={spec}", fmt], group_specs, formats),
+    st.builds(lambda text, fmt: ["orbits", ("--group=", text), fmt], group_file, formats),
+    st.builds(
+        lambda pos, rel: ["search", ("--position-pool=", pos), ("--relabel-pool=", rel)],
+        position_pool,
+        relabel_pool,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=cli_inputs)
+def test_fuzzed_inputs_exit_0_or_2_with_one_error_line(fuzz_dir, argv):
+    args = []
+    for k, arg in enumerate(argv):
+        if isinstance(arg, tuple):
+            option, content = arg
+            path = fuzz_dir / f"input{k}.txt"
+            path.write_bytes(content)
+            arg = f"{option}{path}"
+        args.append(arg)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(args)
+    if code == 0:
+        assert err.getvalue() == ""
+    else:
+        assert code == 2 and out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert err.getvalue().endswith("\n")

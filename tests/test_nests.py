@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from shidoku.board import Board, enumerate_all
@@ -158,6 +160,14 @@ def test_nest_graph_whose_nodes_miss_its_edges_raises_value_error():
         NestGraph(graph.nodes[:-1], graph.edges, graph.nests).components()
     with pytest.raises(ValueError, match="endpoint 'L' is not a node"):
         NestGraph(graph.nodes[:-1] + ("Z",), graph.edges, graph.nests).components()
+
+
+def test_nest_graph_with_a_repeated_source_raises_value_error():
+    graph = s4_nest_graph([gen_s(), gen_t()])
+    first, second = graph.edges[:2]
+    edges = (first, dataclasses.replace(second, src=first.src), *graph.edges[2:])
+    with pytest.raises(ValueError, match="^edge run 1 does not name each node once"):
+        NestGraph(graph.nodes, edges, graph.nests).components()
 
 
 def test_h4_nest_graph_three_cycle():

@@ -63,3 +63,20 @@ def test_graph_components_rejects_edges_that_do_not_fit_the_nodes():
         graph_components([], edges)
     with pytest.raises(ValueError, match="endpoint 'b' is not a node"):
         graph_components(["a", "c"], edges)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [("a", "b"), ("a", "a")],
+        [("a", "a"), ("b", "a")],
+        [("a", "a"), ("b", "b"), ("b", "a"), ("a", "a")],
+    ],
+    ids=["repeated-source", "repeated-target", "second-run"],
+)
+def test_graph_components_rejects_a_run_that_is_not_a_permutation(edges):
+    # each would otherwise be read as a map that drops an edge a-b
+    run = 1 if len(edges) == 2 else 2
+    message = f"^edge run {run} does not name each node once as source and target$"
+    with pytest.raises(ValueError, match=message):
+        graph_components(["a", "b"], edges)
