@@ -38,18 +38,25 @@ REGIONS = ROWS + COLS + BLOCKS
 
 _REGIONS0 = tuple(tuple(cell - 1 for cell in region) for region in REGIONS)
 _VALUE_SET = frozenset(VALUES)
+_CELL_VALUES = _VALUE_SET | {0}
 
 
 @dataclass(frozen=True, order=True)
 class Board:
-    """An assignment of values to the 16 cells.
+    """An assignment of values 0..4 (0 an empty cell) to the 16 cells;
+    other values raise ValueError.
 
-    Invalid assignments are representable; use validate()/is_valid() to
-    check the region constraints.  Ordering is lexicographic on the
+    Region-invalid assignments are representable; use validate()/is_valid()
+    to check the region constraints.  Ordering is lexicographic on the
     16-tuple, which is the canonical ordering everywhere.
     """
 
     values: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        v = self.values
+        if len(v) != 16 or not _CELL_VALUES.issuperset(v) or set(map(type, v)) != {int}:
+            raise ValueError(f"not 16 board values in 0..4: {v!r}")
 
     @classmethod
     def from_text(cls, text: str) -> "Board":

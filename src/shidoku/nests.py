@@ -1,23 +1,25 @@
 """Nests: board orbits under one symmetry factor, and the quotient graphs
 induced on them by the other factor.
 
-Relabeling-orbits ("value nests") have canonical representatives whose
-upper-left block reads 1,2 / 3,4; there are twelve, labeled A-L.
-Position-orbits ("position nests") have canonical representatives with 1s
-on cells 1, 7, 10, 16, the cell-6 value <= the cell-11 value, and the
-cell-2 value < the cell-5 value; there are six, labeled a-f in
-lexicographic order.
+The nests are the factor groups' orbits, labeled by the pinned
+representative each holds: twelve relabeling-orbits A-L, whose
+canonical forms have the upper-left block 1,2 / 3,4, and six position
+orbits a-f (in lexicographic order), whose canonical forms have 1s on
+cells 1, 7, 10, 16, the cell-6 value <= the cell-11 value, and the cell-2
+value < the cell-5 value.  The canonicalizers check those forms and give
+each nest-graph edge its correcting symmetry, aux.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
-from .board import Board, block_of, coords, enumerate_all
+from .board import Board, block_of, board_numbers, coords, enumerate_all
 from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
-from .action import Edge, Graph, apply_values, full_partition, position_apply
+from .group import SymmetryGroup, element_number, image, position_group, relabel_group
+from .action import Edge, Graph, apply_values, full_partition, orbits, position_apply
 
 #: Canonical representatives of the twelve relabeling-orbits (S4-nests).
 S4_REPRESENTATIVES: dict[str, str] = {
@@ -44,10 +46,6 @@ H4_REPRESENTATIVES: dict[str, str] = {
     "e": "1342421321343421",
     "f": "1342421331242431",
 }
-
-_S4_LABELS = {Board.from_text(text): label for label, text in S4_REPRESENTATIVES.items()}
-_H4_LABELS = {Board.from_text(text): label for label, text in H4_REPRESENTATIVES.items()}
-
 
 @dataclass(frozen=True)
 class Nest:
@@ -129,15 +127,17 @@ def h4_canonicalize(b: Board) -> Board:
     return h4_canonicalize_with_transform(b)[0]
 
 
-def _nests(canonical, labels: dict[Board, str], what: str) -> tuple[Nest, ...]:
-    """Group every board by canonical(b); each nest takes its label from
-    the pinned table, which must hold exactly the computed representatives."""
-    grouped: dict[Board, list[Board]] = {}
-    for b in enumerate_all():
-        grouped.setdefault(canonical(b), []).append(b)
-    if grouped.keys() != labels.keys():
+def _nests(
+    group: SymmetryGroup, canonical: Callable[[Board], Board], table: dict[str, str], what: str
+) -> tuple[Nest, ...]:
+    """group's orbits, each labeled by the one representative from the
+    pinned table it holds, which must be its own canonical form."""
+    labels = {Board.from_text(text): label for label, text in table.items()}
+    blocks = orbits(group).blocks
+    reps = [[b for b in block if b in labels] for block in blocks]
+    if len(blocks) != len(table) or any(len(r) != 1 or canonical(r[0]) != r[0] for r in reps):
         raise AssertionError(f"computed {what}-orbit representatives changed")
-    nests = (Nest(labels[rep], rep, tuple(sorted(members))) for rep, members in grouped.items())
+    nests = (Nest(labels[rep], rep, block) for [rep], block in zip(reps, blocks))
     return tuple(sorted(nests, key=lambda n: n.label))
 
 
@@ -145,20 +145,22 @@ def _nests(canonical, labels: dict[Board, str], what: str) -> tuple[Nest, ...]:
 def s4_nests() -> tuple[Nest, ...]:
     """The twelve relabeling-orbits, labeled A-L by S4_REPRESENTATIVES,
     each of size 24."""
-    return _nests(s4_canonicalize, _S4_LABELS, "relabeling")
+    return _nests(relabel_group(), s4_canonicalize, S4_REPRESENTATIVES, "relabeling")
 
 
 @lru_cache(maxsize=1)
 def h4_nests() -> tuple[Nest, ...]:
     """The six position-orbits, labeled a-f by H4_REPRESENTATIVES (which
     follow lexicographic order of the representatives)."""
-    return _nests(h4_canonicalize, _H4_LABELS, "position")
+    return _nests(position_group(), h4_canonicalize, H4_REPRESENTATIVES, "position")
 
 
 def s4_nest_of(b: Board) -> str:
-    if not b.is_valid():
-        raise ValueError(f"not a valid Shidoku board: {b.text}")
-    return _S4_LABELS[s4_canonicalize(b)]
+    """The label of the value nest holding b."""
+    for n in s4_nests():
+        if b in n.members:
+            return n.label
+    raise ValueError(f"not a valid Shidoku board: {b.text}")
 
 
 def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
@@ -174,21 +176,24 @@ def _nest_graph(
     gens: Iterable,
     degree: int,
     nests: tuple[Nest, ...],
-    index: dict[Board, str],
     element: Callable[[Perm], SymmetryElement],
     canonicalize: Callable[[Board], tuple[Board, Perm]],
 ) -> NestGraph:
     """Induced action of one factor's generators on the other factor's
-    nests: move each representative by element(g), then canonicalize it;
-    the correcting symmetry the canonicalizer returns becomes the aux."""
+    nests: each representative moves by element(g)'s board image into the
+    nest holding its image; the symmetry that canonicalizes the image is
+    the edge's aux.  element_number rejects a generator outside H4 x S4."""
+    boards, numbers = enumerate_all(), board_numbers()
+    label_of = {numbers[b.values]: n.label for n in nests for b in n.members}
     edges = []
     for name, g in _named(gens, degree):
         directed = not (g * g).is_identity
-        e = element(g)
+        moved = image(element_number(element(g)))
         for n in nests:
-            canon, fix = canonicalize(Board(apply_values(e, n.representative.values)))
+            k = moved[numbers[n.representative.values]]
+            fix = canonicalize(boards[k])[1]
             aux = None if fix.is_identity else fix
-            edges.append(Edge(n.label, index[canon], name, directed, aux))
+            edges.append(Edge(n.label, label_of[k], name, directed, aux))
     return NestGraph(tuple(n.label for n in nests), tuple(edges), nests)
 
 
@@ -199,8 +204,7 @@ def s4_nest_graph(gens: Iterable) -> NestGraph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 16, s4_nests(), _S4_LABELS,
-        SymmetryElement.from_position, s4_canonicalize_with_relabeling,
+        gens, 16, s4_nests(), SymmetryElement.from_position, s4_canonicalize_with_relabeling
     )
 
 
@@ -211,8 +215,7 @@ def h4_nest_graph(gens: Iterable) -> NestGraph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 4, h4_nests(), _H4_LABELS,
-        SymmetryElement.from_relabeling, h4_canonicalize_with_transform,
+        gens, 4, h4_nests(), SymmetryElement.from_relabeling, h4_canonicalize_with_transform
     )
 
 
@@ -235,17 +238,9 @@ def completeness_via_nests(gens: Iterable) -> bool:
         graph = h4_nest_graph(gens)
     else:
         raise ValueError("generators must be all degree 16 or all degree 4")
-    components = graph.components()
-    if len(components) != 2:
-        return False
     unions = {
         frozenset(b for label in comp for b in graph.nest(label).members)
-        for comp in components
+        for comp in graph.components()
     }
     full = {frozenset(block) for block in full_partition().blocks}
     return unions == full
-
-
-def nest_partition(nests: Sequence[Nest]) -> set[frozenset[Board]]:
-    """The partition of the board set carried by a nest list."""
-    return {frozenset(n.members) for n in nests}

@@ -34,17 +34,11 @@ from .group import (
     relabel_group,
 )
 from .action import apply, apply_values, full_partition, is_complete, named_generators, orbit_graph, orbits
-from .burnside import (
-    burnside_orbit_count,
-    check_fixing_lemmas,
-    invariance_table,
-    relabel_recovery,
-)
+from .burnside import _fixing_rules, burnside_orbit_count, invariance_table, relabel_recovery
 from .nests import (
     completeness_via_nests,
     h4_nest_graph,
     h4_nests,
-    nest_partition,
     s4_nest_graph,
     s4_nest_of,
     s4_nests,
@@ -159,10 +153,8 @@ def check_nests() -> None:
     got_sizes = {n.label: n.size for n in position_nests}
     expect(got_sizes == want_sizes, f"position nest sizes {got_sizes} != {want_sizes}")
 
-    r2st = named_group("r2st")
-    r2st_partition = {frozenset(block) for block in orbits(r2st).blocks}
     expect(
-        r2st_partition == nest_partition(position_nests),
+        sorted(orbits(named_group("r2st")).blocks) == sorted(n.members for n in position_nests),
         "<r2,s,t> orbits differ from the position nests",
     )
 
@@ -210,9 +202,9 @@ def check_fixing_rules_exhaustive() -> None:
     pairs = 0
     for e in position_group().sorted_elements():
         for b in enumerate_all():
-            if relabel_recovery(e.pos, b) is not None:
+            if (sigma := relabel_recovery(e.pos, b)) is not None:
                 pairs += 1
-                if not check_fixing_lemmas(e.pos, b):
+                if not _fixing_rules(e.pos, b, sigma):
                     raise AssertionError(
                         f"fixing rules fail for x={e.pos.cycle_notation() or '()'} on {b.text}"
                     )

@@ -112,9 +112,31 @@ def test_board_text_rejects_malformed(text):
 
 
 def test_board_text_roundtrips_invalid_values_before_validation():
-    b = Board.from_text("9" * 16)
-    assert b.text == "9" * 16
+    # region-invalid boards stay representable; values outside 0..4 do not
+    b = Board.from_text("1" * 16)
+    assert b.text == "1" * 16
     assert not b.is_valid()
+    with pytest.raises(ValueError, match="^not 16 board values in 0..4: "):
+        Board.from_text("9" * 16)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (7,) * 16,
+        (1, 2, 3),
+        (1, 2, 3, 4) * 4 + (1,),
+        (-1,) + (1, 2, 3, 4) * 3 + (1, 2, 3),
+        (-5,) + (1, 2, 3, 4) * 3 + (1, 2, 3),
+        (True,) + (1, 2, 3, 4) * 3 + (1, 2, 3),
+        (1.0,) + (1, 2, 3, 4) * 3 + (1, 2, 3),
+        ("1",) * 16,
+    ],
+    ids=["seven", "short", "long", "minus-one", "minus-five", "bool", "float", "str"],
+)
+def test_board_rejects_impossible_values(values):
+    with pytest.raises(ValueError, match=r"^not 16 board values in 0\.\.4: \("):
+        Board(values)
 
 
 def test_board_file_format():

@@ -15,6 +15,7 @@ from shidoku.group import (
 )
 from shidoku.action import apply
 from shidoku.burnside import (
+    _fixing_rules,
     burnside_orbit_count,
     check_fixing_lemmas,
     fixed_points,
@@ -72,15 +73,13 @@ def test_recovery_matches_brute_force_oracle_on_the_position_group():
 
 
 def test_recovery_rejects_malformed_boards():
-    # as apply does: a wrong length or a value above 4 raises, never None
+    # a wrong length or a value above 4 raises, never None: Board itself
+    # rejects such values, so no malformed board reaches the recovery
     values = Board.from_text(TYPE1_TEXT).values
-    bad = (Board(values[:15]), Board(values + (1,)), Board.from_text("1234341221434329"))
-    for x in (Perm.identity(16), gen_s(), gen_t()):
-        for b in bad:
-            with pytest.raises(ValueError):
-                apply(SymmetryElement.from_position(x), b)
-            with pytest.raises(ValueError):
-                relabel_recovery(x, b)
+    for bad in (values[:15], values + (1,), values[:15] + (9,)):
+        for x in (Perm.identity(16), gen_s(), gen_t()):
+            with pytest.raises(ValueError, match="^not 16 board values in 0..4: "):
+                relabel_recovery(x, Board(bad))
 
 
 def test_recovery_rejects_a_permutation_of_fewer_cells():
@@ -91,11 +90,12 @@ def test_recovery_rejects_a_permutation_of_fewer_cells():
 
 @pytest.mark.parametrize("negative", [-1, -5])
 def test_recovery_rejects_negative_values(negative):
-    # as apply does: a negative value raises, never reads the end of sigma
-    b = Board((negative,) + Board.from_text(TYPE1_TEXT).values[1:])
+    # a negative value raises, never reads the end of sigma: Board itself
+    # rejects it, so it never reaches the recovery
+    values = (negative,) + Board.from_text(TYPE1_TEXT).values[1:]
     for x in (Perm.identity(16), gen_s(), gen_t()):
-        with pytest.raises(ValueError):
-            relabel_recovery(x, b)
+        with pytest.raises(ValueError, match="^not 16 board values in 0..4: "):
+            relabel_recovery(x, Board(values))
 
 
 def test_recovery_agrees_with_apply_on_zero_values():
@@ -182,6 +182,23 @@ def test_fixing_rules_hold_on_examples():
     assert check_fixing_lemmas(gen_t(), FIG_BOARD)
     for b in enumerate_all()[:20]:
         assert check_fixing_lemmas(Perm.identity(16), b)
+
+
+@pytest.mark.parametrize(
+    "x, b, sigma",
+    [
+        # rule 1 alone: the transpose fixes cell 1, the 4-cycle moves its value
+        (gen_t(), Board.from_text(TYPE1_TEXT), relabeling("(1 2 3 4)")),
+        # rule 2 alone: on a valid board a pointwise-fixed region makes
+        # rule 1 fix every value, so only empty cells break rule 2 alone
+        (Perm.identity(16), Board((0,) * 16), relabeling("(1 2)")),
+        # rule 3 alone: the rotation fixes no cell and moves values
+        (gen_r(), Board.from_text(TYPE1_TEXT), Perm.identity(4)),
+    ],
+    ids=["rule-1", "rule-2", "rule-3"],
+)
+def test_fixing_rules_reject_a_pair_breaking_one_rule(x, b, sigma):
+    assert not _fixing_rules(x, b, sigma)
 
 
 def test_fixing_rules_require_invariance():

@@ -1,11 +1,13 @@
 import dataclasses
+import re
 
 import pytest
 
+from shidoku import nests as nests_module
 from shidoku.board import Board, enumerate_all
-from shidoku.perm import gen_r, gen_r2, gen_s, gen_t, relabeling
+from shidoku.perm import Perm, gen_r, gen_r2, gen_s, gen_t, relabeling
 from shidoku.group import generate_position, relabel_group
-from shidoku.action import apply, full_partition, orbits, position_apply
+from shidoku.action import apply, full_partition, position_apply
 from shidoku.perm import SymmetryElement
 from shidoku.nests import (
     H4_REPRESENTATIVES,
@@ -16,7 +18,6 @@ from shidoku.nests import (
     h4_canonicalize_with_transform,
     h4_nest_graph,
     h4_nests,
-    nest_partition,
     s4_canonicalize,
     s4_canonicalize_with_relabeling,
     s4_nest_graph,
@@ -119,10 +120,36 @@ def test_h4_nests_golden():
     assert reps == sorted(reps)
 
 
-def test_h4_nests_match_position_orbits():
-    partition = nest_partition(h4_nests())
-    h4 = generate_position([gen_r(), gen_s(), gen_t()])
-    assert {frozenset(b) for b in orbits(h4).blocks} == partition
+def test_nests_are_the_canonical_forms_classes():
+    # nests come from the factor groups' orbits; the canonicalizers are
+    # the oracle: every member names its nest's representative
+    for nests, canonical in ((s4_nests(), s4_canonicalize), (h4_nests(), h4_canonicalize)):
+        for n in nests:
+            assert {canonical(b) for b in n.members} == {n.representative}
+        members = [b for n in nests for b in n.members]
+        assert sorted(members) == list(enumerate_all())
+
+
+@pytest.mark.parametrize(
+    "name, label, text",
+    [
+        # nest A's representative relabeled: in its orbit, not canonical
+        ("S4", "A", "2143432132141432"),
+        # B's representative in nest A's orbit, so that orbit holds two
+        ("S4", "B", S4_REPRESENTATIVES["A"]),
+        # a thirteenth label, on no valid board
+        ("S4", "M", "1234341221434312"),
+        # nest a's representative moved by a position symmetry
+        ("H4", "a", "1234341243212143"),
+    ],
+)
+def test_nests_reject_a_wrong_pinned_table(monkeypatch, name, label, text):
+    table = f"{name}_REPRESENTATIVES"
+    monkeypatch.setattr(nests_module, table, {**getattr(nests_module, table), label: text})
+    what = {"S4": "relabeling", "H4": "position"}[name]
+    nests = {"S4": s4_nests, "H4": h4_nests}[name]
+    with pytest.raises(AssertionError, match=f"^computed {what}-orbit representatives changed$"):
+        nests.__wrapped__()
 
 
 def test_h4_nest_graph_components():
@@ -202,6 +229,15 @@ def test_completeness_component_unions_match_type_split():
     assert unions == {frozenset(block) for block in full_partition().blocks}
 
 
+@pytest.mark.parametrize("cycle", ["(1 2)", "(2 3)"])
+def test_nest_graph_rejects_a_cell_permutation_outside_h4(cycle):
+    x = Perm.from_cycles(cycle, 16)
+    want = rf"^symmetry pos={re.escape(cycle)}; rel= moves a board to \d{{16}}, not a valid board$"
+    for call in (s4_nest_graph, completeness_via_nests):
+        with pytest.raises(ValueError, match=want):
+            call([x])
+
+
 def test_nest_graph_rejects_mixed_or_wrong_degree():
     with pytest.raises(ValueError):
         completeness_via_nests([gen_s(), relabeling("(1 2)")])
@@ -217,8 +253,7 @@ def test_nest_lookup_helpers():
     assert Board.from_text(TYPE1_TEXT) in h4["a"]
     assert Board.from_text(TYPE2_TEXT) in h4["d"]  # one of the size-64 nests
     assert sorted(b for members in h4.values() for b in members) == list(enumerate_all())
-    # the lookup reads the pinned table; on every board it names the
-    # computed nest that holds it
+    # on every board the lookup names the nest that holds it
     holder = {b: n.label for n in s4_nests() for b in n.members}
     assert {b: s4_nest_of(b) for b in enumerate_all()} == holder
     with pytest.raises(ValueError, match="not a valid Shidoku board"):
