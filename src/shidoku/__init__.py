@@ -24,7 +24,6 @@ from .group import (
 from .action import apply, is_complete, is_position_symmetry, orbit_graph, orbits
 from .burnside import (
     burnside_orbit_count,
-    check_fixing_lemmas,
     invariance_table,
     invariant_count,
     relabel_recovery,
@@ -53,7 +52,6 @@ __all__ = [
     "SymmetryGroup",
     "apply",
     "burnside_orbit_count",
-    "check_fixing_lemmas",
     "completeness_via_nests",
     "conjugacy_classes",
     "count_with_ones_configuration",

@@ -8,9 +8,8 @@ apply(a * b, board) == apply(a, apply(b, board)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, NamedTuple
 
 from .board import Board, board_numbers, enumerate_all
 from .group import SymmetryGroup, element_number, factor_tables, full_group, image
@@ -40,8 +39,7 @@ def is_position_symmetry(x: Perm) -> bool:
     return x in factor_tables()[0].numbers
 
 
-@dataclass(frozen=True)
-class OrbitPartition:
+class OrbitPartition(NamedTuple):
     """Partition of the 288 boards into orbit blocks of board numbers.
 
     Blocks are sorted by minimal board; equality compares blocks only, so
@@ -99,8 +97,7 @@ def is_complete(g: SymmetryGroup) -> bool:
     return divides and len(_board_blocks(g)) == full.block_count
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     """One generator move src -> dst, undirected for an involution.
 
     `aux` is the symmetry a nest graph needs to return the moved
@@ -116,8 +113,7 @@ class Edge:
     aux: Perm | None = None
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(NamedTuple):
     """Labeled multigraph of generator moves: one edge per (node,
     generator) pair, self-loops included, listed generator by generator."""
 

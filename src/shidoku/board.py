@@ -8,7 +8,7 @@ serialized output use this 1-based convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable
 
@@ -41,22 +41,25 @@ _VALUE_SET = frozenset(VALUES)
 _CELL_VALUES = _VALUE_SET | {0}
 
 
-@dataclass(frozen=True, order=True)
-class Board:
+class Board(namedtuple("Board", "values")):
     """An assignment of values 0..4 (0 an empty cell) to the 16 cells;
     other values raise ValueError.
 
     Region-invalid assignments are representable; use validate()/is_valid()
-    to check the region constraints.  Ordering is lexicographic on the
-    16-tuple, which is the canonical ordering everywhere.
+    to check the region constraints.  An immutable tuple record (values,):
+    ordering is lexicographic on the 16-tuple, which is the canonical
+    ordering everywhere.
     """
 
-    values: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        v = self.values
-        if len(v) != 16 or not _CELL_VALUES.issuperset(v) or set(map(type, v)) != {int}:
-            raise ValueError(f"not 16 board values in 0..4: {v!r}")
+    def __new__(cls, values: tuple[int, ...]) -> "Board":
+        if len(values) != 16 or not _CELL_VALUES.issuperset(values) or set(map(type, values)) != {int}:
+            raise ValueError(f"not 16 board values in 0..4: {values!r}")
+        return tuple.__new__(cls, (values,))
+
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def from_text(cls, text: str) -> "Board":

@@ -10,9 +10,9 @@ finds it, for invariance tables and the fixing rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import count
 from operator import eq
+from typing import NamedTuple
 
 from .board import VALUES, Board, REGIONS, enumerate_all
 from .group import ConjugacyClass, SymmetryGroup, conjugacy_classes, element_number, image
@@ -25,12 +25,12 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
     sigma must send b[i] to b[x(i)], and a 0 (never renamed) onto a 0.
     Raises ValueError unless x has degree 16.
     """
-    values = b.values
-    if x.degree != 16:
-        raise ValueError(f"not a cell permutation: degree {x.degree}")
+    values, cells = b.values, x.image
+    if len(cells) != 16:
+        raise ValueError(f"not a cell permutation: degree {len(cells)}")
     sigma = {0: 0}
     put = sigma.setdefault
-    for v, j in zip(values, x.image):
+    for v, j in zip(values, cells):
         w = values[j - 1]
         if put(v, w) != w:
             return None
@@ -64,8 +64,7 @@ def burnside_orbit_count(g: SymmetryGroup) -> int:
     return total // g.order
 
 
-@dataclass(frozen=True)
-class InvarianceTable:
+class InvarianceTable(NamedTuple):
     """Per-conjugacy-class invariant board counts for a position-only group."""
 
     group: SymmetryGroup
@@ -88,18 +87,6 @@ def invariance_table(h: SymmetryGroup) -> InvarianceTable:
         raise ValueError("invariance table wants a position-only group")
     rows = tuple((cls, invariant_count(cls.representative.pos)) for cls in conjugacy_classes(h))
     return InvarianceTable(h, rows)
-
-
-def check_fixing_lemmas(x: Perm, b: Board) -> bool:
-    """Check the three fixing rules for a board invariant under x.
-
-    Raises ValueError when b is not invariant under x (the rules are
-    conditional on invariance).
-    """
-    sigma = relabel_recovery(x, b)
-    if sigma is None:
-        raise ValueError("board is not invariant under x; fixing rules do not apply")
-    return _fixing_rules(x, b, sigma)
 
 
 def _fixing_rules(x: Perm, b: Board, sigma: Perm) -> bool:

@@ -13,7 +13,6 @@ file (`generators:` header, then `pos=<cycles>; rel=<cycles>` lines).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -104,6 +103,8 @@ def _factor(args):
 def _emit(args, payload: dict, lines: Iterable[str]) -> int:
     """Print the payload as JSON, or its text lines; the exit status."""
     if args.format == "json":
+        import json  # here, so that text output never loads it
+
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in lines:

@@ -15,7 +15,6 @@ given none, by its elements: anything else raises ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -250,8 +249,7 @@ def direct_product(h: SymmetryGroup, s: SymmetryGroup) -> SymmetryGroup:
     return SymmetryGroup._trusted(numbers, h.generators + s.generators)
 
 
-@dataclass(frozen=True)
-class ConjugacyClass:
+class ConjugacyClass(NamedTuple):
     representative: SymmetryElement
     members: frozenset[SymmetryElement]
 

@@ -12,9 +12,8 @@ each nest-graph edge its correcting symmetry, aux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .board import Board, block_of, board_numbers, coords, enumerate_all
 from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
@@ -47,8 +46,7 @@ H4_REPRESENTATIVES: dict[str, str] = {
     "f": "1342421331242431",
 }
 
-@dataclass(frozen=True)
-class Nest:
+class Nest(NamedTuple):
     label: str
     representative: Board
     members: tuple[Board, ...]
@@ -58,11 +56,16 @@ class Nest:
         return len(self.members)
 
 
-@dataclass(frozen=True)
-class NestGraph(Graph):
-    """A quotient graph whose nodes are the labels of its nests."""
+class NestGraph(NamedTuple):
+    """A quotient graph whose nodes are the labels of its nests: a Graph
+    that also holds the nests."""
 
+    nodes: tuple[str, ...]
+    edges: tuple[Edge, ...]
     nests: tuple[Nest, ...]
+
+    components = Graph.components
+    component_count = Graph.component_count
 
     def nest(self, label: str) -> Nest:
         for n in self.nests:

@@ -14,7 +14,7 @@ is restated on every operation that composes or applies symmetries.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from typing import Iterable
 
@@ -23,31 +23,29 @@ from .board import cell_at, coords
 POSITION_DEGREE = 16
 RELABEL_DEGREE = 4
 
-# bound once: the unchecked constructors below run for every product
-_new = object.__new__
-_set = object.__setattr__
 
-
-@dataclass(frozen=True, order=True)
-class Perm:
+class Perm(namedtuple("Perm", "image")):
     """A bijection on {1..n}, stored as the image tuple: image[i-1] = p(i).
 
-    Ordering is lexicographic on the image, giving every finite set of
-    permutations a canonical minimum.
+    An immutable tuple record (image,): hashing, equality and ordering
+    are the tuple's, so ordering is lexicographic on the image, giving
+    every finite set of permutations a canonical minimum.
     """
 
-    image: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if sorted(self.image) != list(range(1, len(self.image) + 1)):
-            raise ValueError(f"not a bijection on 1..{len(self.image)}: {self.image!r}")
+    def __new__(cls, image: tuple[int, ...]) -> "Perm":
+        if sorted(image) != list(range(1, len(image) + 1)):
+            raise ValueError(f"not a bijection on 1..{len(image)}: {image!r}")
+        return tuple.__new__(cls, (image,))
+
+    # _replace builds through _make: validate there too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def _trusted(cls, image: tuple[int, ...]) -> "Perm":
         """Unchecked Perm, for products, inverses and images known to be bijections."""
-        p = _new(cls)
-        _set(p, "image", image)
-        return p
+        return tuple.__new__(cls, (image,))
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -214,25 +212,24 @@ def relabel_generators() -> tuple[Perm, ...]:
     return tuple(relabeling(name) for name in RELABEL_GENERATOR_NAMES)
 
 
-@dataclass(frozen=True, order=True)
-class SymmetryElement:
+class SymmetryElement(namedtuple("SymmetryElement", "pos rel")):
     """A combined symmetry (pos, rel): move cells by pos, then rename
-    values by rel.  Composition is componentwise, right factor first."""
+    values by rel.  Composition is componentwise, right factor first.
+    An immutable tuple record, ordered as the tuple (pos, rel)."""
 
-    pos: Perm
-    rel: Perm
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.pos.degree != POSITION_DEGREE or self.rel.degree != RELABEL_DEGREE:
+    def __new__(cls, pos: Perm, rel: Perm) -> "SymmetryElement":
+        if pos.degree != POSITION_DEGREE or rel.degree != RELABEL_DEGREE:
             raise ValueError("symmetry element wants (degree-16, degree-4) parts")
+        return tuple.__new__(cls, (pos, rel))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @classmethod
     def _trusted(cls, pos: Perm, rel: Perm) -> "SymmetryElement":
         """Unchecked element, for products and inverses of valid ones."""
-        e = _new(cls)
-        _set(e, "pos", pos)
-        _set(e, "rel", rel)
-        return e
+        return tuple.__new__(cls, (pos, rel))
 
     @classmethod
     def identity(cls) -> "SymmetryElement":

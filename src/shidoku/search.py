@@ -8,8 +8,8 @@ one 3-cycle of relabelings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .group import direct_product, generate_position, generate_relabel
 from .perm import RELABEL_GENERATOR_NAMES, Perm, relabeling, standard_position_generators
@@ -35,8 +35,7 @@ def minimal_order() -> int:
     return max(full_partition().sizes())
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     position_names: tuple[str, ...]
     relabel_names: tuple[str, ...]
     position_gens: tuple[Perm, ...]

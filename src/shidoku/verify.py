@@ -10,8 +10,7 @@ both run this list.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .board import Board, board_numbers, count_with_ones_configuration, enumerate_all, validate
 from .perm import (
@@ -382,8 +381,7 @@ def check_pinned_examples() -> None:
     expect(minimal_order() == 192, f"completeness bound {minimal_order()} != 192")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     number: int
     name: str
     run: Callable[[], None]

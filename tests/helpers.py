@@ -1,5 +1,6 @@
 """Independent oracle implementations shared by the tests, the tests'
-reader of exported DOT text and their board file format.
+reader of exported DOT text, their board file format and their check of
+the fixing rules on one invariant board.
 
 The oracles deliberately avoid the production code paths: the action
 oracle writes values into destination cells directly from the
@@ -20,6 +21,7 @@ from typing import Iterable
 
 from shidoku.action import position_apply
 from shidoku.board import Board, enumerate_all, validate
+from shidoku.burnside import _fixing_rules, relabel_recovery
 from shidoku.group import SymmetryGroup
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_s, gen_t
 
@@ -68,6 +70,18 @@ def oracle_recoveries(x: Perm, b: Board) -> list[Perm]:
         if oracle_apply(e, b.values) == b.values:
             found.append(sigma)
     return found
+
+
+def check_fixing_lemmas(x: Perm, b: Board) -> bool:
+    """Check the three fixing rules for a board invariant under x.
+
+    Raises ValueError when b is not invariant under x (the rules are
+    conditional on invariance).
+    """
+    sigma = relabel_recovery(x, b)
+    if sigma is None:
+        raise ValueError("board is not invariant under x; fixing rules do not apply")
+    return _fixing_rules(x, b, sigma)
 
 
 def oracle_fixed_points(e: SymmetryElement) -> int:

@@ -139,6 +139,22 @@ def test_board_rejects_impossible_values(values):
         Board(values)
 
 
+def test_board_records_hash_assign_and_sort_as_field_tuples():
+    # Board is an immutable tuple record (values,), hashed as the frozen
+    # dataclass was, so set and dict order stay as they were
+    b = Board.from_text(TYPE1_TEXT)
+    assert hash(b) == hash((b.values,))
+    with pytest.raises(AttributeError):
+        b.values = b.values
+    with pytest.raises(ValueError, match=r"^not 16 board values in 0\.\.4: \(1, 2, 3\)$"):
+        Board(values=(1, 2, 3))
+    with pytest.raises(ValueError, match=r"^not 16 board values in 0\.\.4: "):
+        b._replace(values=(9,) * 16)
+    assert Board(values=b.values) == b
+    boards = list(enumerate_all())[::-7]
+    assert sorted(boards) == sorted(boards, key=lambda board: board.values)
+
+
 def test_board_file_format():
     boards = enumerate_all()
     text = boards_to_file_text(reversed(boards))

@@ -17,7 +17,6 @@ from shidoku.action import apply
 from shidoku.burnside import (
     _fixing_rules,
     burnside_orbit_count,
-    check_fixing_lemmas,
     fixed_points,
     invariance_table,
     invariant_count,
@@ -26,6 +25,7 @@ from shidoku.burnside import (
 from helpers import (
     INVARIANT_UNDER_TRANSPOSE_TEXT,
     TYPE1_TEXT,
+    check_fixing_lemmas,
     oracle_fixed_points,
     oracle_recoveries,
 )

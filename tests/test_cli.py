@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -287,6 +290,21 @@ def test_verify_exit_codes(monkeypatch, capsys):
     assert cli.main(["verify"]) == 0
     monkeypatch.setattr(cli, "run_checks", lambda write: False)
     assert cli.main(["verify"]) == 1
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_json():
+    # every invocation pays this import in a fresh interpreter: the
+    # records are tuples, and json loads only for --format json
+    code = (
+        "import sys; before = set(sys.modules); import shidoku.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    added = proc.stdout.split()
+    assert "shidoku.cli" in added and "shidoku.nests" in added
+    assert not {"dataclasses", "json"} & set(added)
 
 
 # Inputs for the fuzz test below: valid pieces mixed with junk.  A file

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 
 import pytest
@@ -192,7 +191,7 @@ def test_nest_graph_whose_nodes_miss_its_edges_raises_value_error():
 def test_nest_graph_with_a_repeated_source_raises_value_error():
     graph = s4_nest_graph([gen_s(), gen_t()])
     first, second = graph.edges[:2]
-    edges = (first, dataclasses.replace(second, src=first.src), *graph.edges[2:])
+    edges = (first, second._replace(src=first.src), *graph.edges[2:])
     with pytest.raises(ValueError, match="^edge run 1 does not name each node once"):
         NestGraph(graph.nodes, edges, graph.nests).components()
 

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import pytest
 
 from shidoku.board import cell_at, coords
@@ -138,3 +140,47 @@ def test_symmetry_element_rejects_wrong_degrees():
 def test_relabel_generators_are_the_four_transpositions():
     names = [p.cycle_notation() for p in relabel_generators()]
     assert names == ["(1 2)", "(2 3)", "(3 4)", "(1 4)"]
+
+
+# Perm and SymmetryElement are immutable tuple records.
+
+
+def test_records_hash_as_their_field_tuples():
+    # the frozen dataclasses' hash, so set and dict order, and every
+    # output built from it, stay as they were
+    rel = relabeling("(1 2 3)")
+    for p in (gen_r(), rel, Perm.identity(4)):
+        assert hash(p) == hash((p.image,))
+    e = SymmetryElement(gen_t(), rel)
+    assert hash(e) == hash((gen_t(), rel))
+
+
+def test_records_reject_field_assignment():
+    e = SymmetryElement(gen_t(), relabeling("(1 2)"))
+    with pytest.raises(AttributeError):
+        e.pos.image = gen_r().image
+    with pytest.raises(AttributeError):
+        e.rel = relabeling("(2 3)")
+    with pytest.raises(AttributeError):
+        e.extra = 1
+
+
+def test_keyword_and_replaced_records_are_validated():
+    with pytest.raises(ValueError, match=r"^not a bijection on 1\.\.4: \(1, 1, 3, 4\)$"):
+        Perm(image=(1, 1, 3, 4))
+    with pytest.raises(ValueError, match=r"^not a bijection on 1\.\.4: "):
+        relabeling("(1 2)")._replace(image=(0, 1, 2, 3))
+    wrong = r"^symmetry element wants \(degree-16, degree-4\) parts$"
+    with pytest.raises(ValueError, match=wrong):
+        SymmetryElement(pos=relabeling("(1 2)"), rel=relabeling("(1 2)"))
+    with pytest.raises(ValueError, match=wrong):
+        SymmetryElement.identity()._replace(rel=gen_r())
+    assert Perm(image=gen_r().image) == gen_r()
+    assert SymmetryElement(pos=gen_t(), rel=Perm.identity(4)) == SymmetryElement.from_position(gen_t())
+
+
+def test_records_sort_by_their_field_tuples():
+    perms = [Perm(image) for image in permutations((1, 2, 3, 4))][::-1]
+    assert sorted(perms) == sorted(perms, key=lambda p: p.image)
+    elements = [SymmetryElement(x, sigma) for sigma in perms[:6] for x in (gen_t(), gen_r(), gen_s())]
+    assert sorted(elements) == sorted(elements, key=lambda e: (e.pos.image, e.rel.image))
