@@ -68,17 +68,22 @@ class OrbitPartition(NamedTuple):
         return [n in block for block in self.numbers].index(True)
 
 
-def _board_blocks(g: SymmetryGroup) -> list[list[int]]:
-    """g's orbits in board numbers: the components of its generators'
-    board images (group.image); SymmetryGroup checks that a hand-built
-    group's generators generate it."""
-    return components(len(enumerate_all()), [image(element_number(e)) for e in g.generators])
+@lru_cache(maxsize=1)
+def _board_blocks(generators: tuple[SymmetryElement, ...]) -> tuple[tuple[int, ...], ...]:
+    """The orbits, in board numbers, of the group the generators
+    generate: the components of their board images (group.image);
+    SymmetryGroup checks that a hand-built group's generators generate
+    it.  The last generators' blocks are kept, for is_complete right
+    after orbits; keyed by the generators, not the group, the cache does
+    not keep the group's number set alive."""
+    blocks = components(len(enumerate_all()), [image(element_number(e)) for e in generators])
+    return tuple(map(tuple, blocks))
 
 
 def orbits(g: SymmetryGroup) -> OrbitPartition:
     """Orbit partition of the 288 boards under g; board numbers sort as
     the boards do, so the blocks come out sorted."""
-    return OrbitPartition(tuple(map(tuple, _board_blocks(g))))
+    return OrbitPartition(_board_blocks(g.generators))
 
 
 @lru_cache(maxsize=1)
@@ -94,7 +99,7 @@ def is_complete(g: SymmetryGroup) -> bool:
     equal them iff as many."""
     full = full_partition()
     divides = all(g.order % size == 0 for size in full.sizes())
-    return divides and len(_board_blocks(g)) == full.block_count
+    return divides and len(_board_blocks(g.generators)) == full.block_count
 
 
 class Edge(NamedTuple):

@@ -1,21 +1,30 @@
 """Fixed-point counting and orbit counts via the averaging lemma.
 
-A fixed-point count reads the boards that an element's board image
-(group.image) maps to themselves.  A board B is fixed by (x, sigma)
-exactly when sigma undoes the cell move x: sigma(x(B)) = B.  Relabelings
-act freely on valid boards (the first row carries every value), so a
-sigma that undoes x on B is unique when it exists; relabel_recovery
-finds it, for invariance tables and the fixing rules.
+Fixed-point counts are read off the factors' board images
+(group.factor_tables): board k is fixed by (x, sigma) exactly when
+sigma undoes the cell move x, that is, when x sends k where sigma^-1
+does.  Relabelings act freely on valid boards (the first row carries
+every value), so a sigma that undoes x on a board is unique when it
+exists: x's invariant count is the sum of the fixed counts of (x, sigma)
+over the 24 sigma.  relabel_recovery finds that sigma on one board, for
+the fixing rules and verify.
 """
 
 from __future__ import annotations
 
-from itertools import count
 from operator import eq
 from typing import NamedTuple
 
-from .board import VALUES, Board, REGIONS, enumerate_all
-from .group import ConjugacyClass, SymmetryGroup, conjugacy_classes, element_number, image
+from .board import VALUES, Board, REGIONS
+from .group import (
+    RELABELINGS,
+    ConjugacyClass,
+    SymmetryGroup,
+    _inverse,
+    conjugacy_classes,
+    element_number,
+    factor_tables,
+)
 from .perm import Perm, SymmetryElement
 
 
@@ -39,13 +48,20 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
 
 
 def invariant_count(x: Perm) -> int:
-    """Number of boards invariant under x up to relabeling."""
-    return sum(1 for b in enumerate_all() if relabel_recovery(x, b) is not None)
+    """Number of boards invariant under x up to relabeling: the fixed
+    counts of (x, sigma) summed over all 24 sigma, exact because at most
+    one sigma fixes a board.  Raises element_number's ValueError unless x
+    is in H4."""
+    n = element_number(SymmetryElement.from_position(x))
+    return sum(map(_fixed_count, range(n, n + RELABELINGS)))
 
 
 def _fixed_count(n: int) -> int:
-    """Number of boards k that element number n maps to k."""
-    return sum(map(eq, image(n), count()))
+    """Number of boards k that element number n = (x, sigma) maps to k:
+    those that x moves where sigma^-1 does."""
+    position, relabel = factor_tables()
+    p, r = divmod(n, RELABELINGS)
+    return sum(map(eq, position.images[p], relabel.images[_inverse(r)]))
 
 
 def fixed_points(e: SymmetryElement) -> int:

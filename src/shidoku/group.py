@@ -4,9 +4,11 @@ conjugacy classes.
 Every group is a subgroup of H4 x S4 (order 3072), so its elements are
 numbered: position symmetry x and relabeling sigma by their places in
 sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
-as SymmetryElements do.  Only this module reads the numbering: closure,
-products, conjugacy classes and membership multiply numbers through
-factor_tables(), and image(n) moves board numbers as element n does.
+as SymmetryElements do.  Only this module and burnside's fixed-point
+counts read the numbering: closure, products, conjugacy classes and
+membership multiply numbers through factor_tables(), image(n) moves
+board numbers as element n does, and burnside compares the factors'
+board images.
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 A hand-built SymmetryGroup must be generated by its generators or, if
@@ -16,6 +18,7 @@ given none, by its elements: anything else raises ValueError.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .board import Board, board_numbers, enumerate_all
@@ -71,8 +74,8 @@ def _factor_table(gens: list[Perm], element: Callable[[Perm], SymmetryElement]) 
     images = {identity: tuple(range(len(board_numbers())))}
     for q in queue[1:]:
         k, p = parents[q]
-        rows[q] = tuple([left[k][b] for b in rows[p]])
-        images[q] = tuple([moved[k][j] for j in images[p]])
+        rows[q] = itemgetter(*rows[p])(left[k])
+        images[q] = itemgetter(*images[p])(moved[k])
     return FactorTable(
         elements, numbers, tuple(rows[p] for p in elements), tuple(images[p] for p in elements)
     )
@@ -107,14 +110,13 @@ def element(n: int) -> SymmetryElement:
     return SymmetryElement._trusted(position.elements[p], relabel.elements[r])
 
 
-def image(n: int) -> list[int]:
+def image(n: int) -> tuple[int, ...]:
     """Element number n as a map on board numbers (board.board_numbers):
     entry k numbers the element applied to board k, its position part's
     image read through its relabeling's (cells move first)."""
     position, relabel = factor_tables()
     p, r = divmod(n, RELABELINGS)
-    rename = relabel.images[r]
-    return [rename[k] for k in position.images[p]]
+    return itemgetter(*position.images[p])(relabel.images[r])
 
 
 def _product(a: int, b: int) -> int:

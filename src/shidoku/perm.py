@@ -16,12 +16,28 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from functools import lru_cache
+from operator import itemgetter
 from typing import Iterable
 
 from .board import cell_at, coords
 
 POSITION_DEGREE = 16
 RELABEL_DEGREE = 4
+
+#: The records' unchecked constructor, bound once so that products build
+#: their records without a classmethod call per part.
+_new = tuple.__new__
+
+
+def _compose(image: tuple[int, ...], other_image: tuple[int, ...]) -> tuple[int, ...]:
+    """The image of a * b from a's and b's images, right factor first:
+    entry i is image[other_image[i] - 1], gathered in C from a 1-based
+    copy of image.  Raises ValueError on images of different lengths."""
+    if len(image) != len(other_image):
+        raise ValueError("cannot compose permutations of different degrees")
+    if len(image) < 2:
+        return image  # the identity, the only permutation of degree 0 or 1
+    return itemgetter(*other_image)((0,) + image)
 
 
 class Perm(namedtuple("Perm", "image")):
@@ -88,10 +104,7 @@ class Perm(namedtuple("Perm", "image")):
 
     def __mul__(self, other: "Perm") -> "Perm":
         """Compose, right factor first: (a * b)(i) = a(b(i))."""
-        image, other_image = self.image, other.image
-        if len(image) != len(other_image):
-            raise ValueError("cannot compose permutations of different degrees")
-        return Perm._trusted(tuple([image[j - 1] for j in other_image]))
+        return _new(Perm, (_compose(self.image, other.image),))
 
     def inverse(self) -> "Perm":
         img = [0] * self.degree
@@ -248,7 +261,9 @@ class SymmetryElement(namedtuple("SymmetryElement", "pos rel")):
         return self.pos.is_identity and self.rel.is_identity
 
     def __mul__(self, other: "SymmetryElement") -> "SymmetryElement":
-        return SymmetryElement._trusted(self.pos * other.pos, self.rel * other.rel)
+        ((p,), (r,)), ((q,), (s,)) = self, other  # each Perm is the 1-tuple (image,)
+        pos, rel = _new(Perm, (_compose(p, q),)), _new(Perm, (_compose(r, s),))
+        return _new(SymmetryElement, (pos, rel))
 
     def inverse(self) -> "SymmetryElement":
         return SymmetryElement._trusted(self.pos.inverse(), self.rel.inverse())
@@ -265,13 +280,13 @@ def apply_values(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]
     """
     r = e.rel.image
     rename = {0: 0, 1: r[0], 2: r[1], 3: r[2], 4: r[3]}
-    out = [0] * 16
+    out = [0] * 17  # 1-based: out[c] is cell c's value, out[0] unused
     try:
         for target, v in zip(e.pos.image, values, strict=True):
-            out[target - 1] = rename[v]
+            out[target] = rename[v]
     except KeyError:
         raise ValueError(f"board value {v} out of range 0..4") from None
-    return tuple(out)
+    return tuple(out[1:])
 
 
 def position_elements(perms: Iterable[Perm]) -> list[SymmetryElement]:

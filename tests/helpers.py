@@ -8,9 +8,10 @@ definition, the orbit oracle searches over Boards moved by that action
 oracle instead of over board numbers and factor-table images, the
 component oracle follows edge pairs both ways instead of numbered
 permutation maps, the recovery oracle tries all 24 relabelings, the
-fixed-point oracle applies an element to every board, the closure
-oracle multiplies SymmetryElements instead of element numbers, and the
-position-nest oracle scans a board's whole position orbit.
+fixed-point oracle applies an element to every board, the product
+oracle composes each part point by point, the closure oracle multiplies
+SymmetryElements instead of element numbers, and the position-nest
+oracle scans a board's whole position orbit.
 """
 
 from __future__ import annotations
@@ -34,6 +35,17 @@ def oracle_apply(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]
         v = values[i]
         out[e.pos.image[i] - 1] = e.rel.image[v - 1] if v else 0
     return tuple(out)
+
+
+def oracle_product(a: SymmetryElement, b: SymmetryElement) -> SymmetryElement:
+    """a * b componentwise from the definition, right factor first: each
+    part sends i to a's part of b's part of i, built through the
+    validating constructors."""
+
+    def compose(p: Perm, q: Perm) -> Perm:
+        return Perm(tuple(p(q(i)) for i in range(1, q.degree + 1)))
+
+    return SymmetryElement(compose(a.pos, b.pos), compose(a.rel, b.rel))
 
 
 def oracle_orbits(

@@ -16,6 +16,7 @@ from shidoku.group import (
     relabel_group,
     trivial_group,
 )
+from shidoku import action
 from shidoku.action import (
     OrbitPartition,
     apply,
@@ -28,6 +29,7 @@ from shidoku.action import (
     orbits,
 )
 from shidoku.search import default_position_pool, default_relabel_pool
+from shidoku.unionfind import components
 from helpers import (
     TYPE1_TEXT,
     TYPE2_TEXT,
@@ -182,6 +184,27 @@ def test_orbits_via_elements_when_no_generators():
     st = generate_position([gen_s(), gen_t()])
     bare = type(st)(st.elements, ())
     assert orbits(bare) == orbits(st)
+
+
+def test_is_complete_after_orbits_labels_the_orbits_once(monkeypatch):
+    # the query shape: orbits, then is_complete, on the same group
+    calls = []
+
+    def counted(size, maps):
+        calls.append(len(maps))
+        return components(size, maps)
+
+    monkeypatch.setattr(action, "components", counted)
+    action._board_blocks.cache_clear()
+    g = named_group("stxS4")
+    part = orbits(g)
+    assert is_complete(g) and is_complete(named_group("stxS4"))
+    assert orbits(g) == part and len(calls) == 1
+    # the kept blocks are immutable
+    assert type(part.numbers) is tuple and all(type(block) is tuple for block in part.numbers)
+    # a different group is labeled anew
+    assert not is_complete(named_group("rtxS4"))
+    assert len(calls) == 2
 
 
 def test_is_complete():

@@ -169,6 +169,25 @@ def test_invariance_table_rejects_mixed_group():
         invariance_table(relabel_group())
 
 
+def test_invariant_count_equals_the_recovery_hits_on_every_position_symmetry():
+    # read off the fixed counts of (x, sigma) over all sigma, the count
+    # must be the number of boards on which some relabeling undoes x
+    for e in position_group().sorted_elements():
+        hits = sum(relabel_recovery(e.pos, b) is not None for b in enumerate_all())
+        assert invariant_count(e.pos) == hits
+
+
+def test_invariant_count_rejects_a_cell_permutation_outside_h4():
+    x = Perm.from_cycles("(1 2)", 16)
+    with pytest.raises(ValueError) as got:
+        invariant_count(x)
+    with pytest.raises(ValueError) as want:
+        element_number(SymmetryElement.from_position(x))
+    assert str(got.value) == str(want.value) and "\n" not in str(got.value)
+    with pytest.raises(ValueError, match="degree-16"):
+        invariant_count(Perm.identity(4))
+
+
 def test_invariant_count_constant_on_classes():
     # invariance_table counts each class on its representative only
     classes = conjugacy_classes(position_group())

@@ -93,6 +93,23 @@ def test_compose_rejects_degree_mismatch():
         gen_s() * relabeling("(1 2)")
 
 
+@pytest.mark.parametrize("a, b", [(0, 1), (1, 0), (1, 2), (2, 1), (0, 16), (4, 16)])
+def test_compose_rejects_degree_mismatch_in_every_degree(a, b):
+    with pytest.raises(ValueError, match="cannot compose permutations of different degrees"):
+        Perm.identity(a) * Perm.identity(b)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+def test_compose_in_degrees_zero_and_one(degree):
+    # a one-index gather returns a scalar and an empty one raises: the
+    # only permutation of degree 0 or 1 is the identity, its own product
+    p = Perm.identity(degree)
+    product = p * p
+    assert product == p and type(product) is Perm
+    assert product.image == tuple(range(1, degree + 1)) and type(product.image) is tuple
+    assert product.is_identity and product.order() == 1
+
+
 def test_grid_perm_matches_row_swap():
     assert grid_perm(Perm.from_cycles("(3 4)", 4), Perm.identity(4)) == gen_s()
     assert grid_perm(Perm.identity(4), Perm.identity(4)).is_identity

@@ -17,7 +17,7 @@ from shidoku.group import (
 from shidoku.action import apply, full_partition, is_complete, orbits
 from shidoku.burnside import relabel_recovery
 from shidoku.nests import h4_canonicalize, s4_canonicalize
-from helpers import oracle_apply, oracle_recoveries
+from helpers import oracle_apply, oracle_product, oracle_recoveries
 
 BOARDS = enumerate_all()
 FULL_ELEMENTS = full_group().sorted_elements()
@@ -29,6 +29,8 @@ elements = st.sampled_from(FULL_ELEMENTS)
 position_perms = st.sampled_from([e.pos for e in POSITION_ELEMENTS])
 relabels = st.sampled_from([e.rel for e in RELABEL_ELEMENTS])
 raw_perm16 = st.permutations(list(range(1, 17))).map(lambda img: Perm(tuple(img)))
+raw_perm4 = st.permutations([1, 2, 3, 4]).map(lambda img: Perm(tuple(img)))
+raw_elements = st.builds(SymmetryElement, raw_perm16, raw_perm4)
 
 
 @given(raw_perm16)
@@ -45,6 +47,16 @@ def test_inverse_cancels(p):
 @given(raw_perm16, raw_perm16)
 def test_inverse_antihomomorphism(a, b):
     assert (a * b).inverse() == b.inverse() * a.inverse()
+
+
+@given(raw_elements, raw_elements)
+def test_element_products_match_the_componentwise_oracle(a, b):
+    # any cell permutation, not only H4's: the product is pure composition
+    product = a * b
+    assert product == oracle_product(a, b)
+    assert type(product) is SymmetryElement
+    assert type(product.pos) is Perm and type(product.rel) is Perm
+    assert type(product.pos.image) is tuple and type(product.rel.image) is tuple
 
 
 @given(elements, elements, boards)

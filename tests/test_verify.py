@@ -38,6 +38,17 @@ def test_products_in_reverse_order_fail(monkeypatch):
         verify.check_action_and_relations()
 
 
+def test_products_with_only_the_relabel_part_reversed_fail(monkeypatch):
+    # the position parts stay right, so the check sees this fault only
+    # if its products go through SymmetryElement.__mul__
+    mul = SymmetryElement.__mul__
+    monkeypatch.setattr(
+        SymmetryElement, "__mul__", lambda a, b: SymmetryElement(mul(a, b).pos, mul(b, a).rel)
+    )
+    with pytest.raises(AssertionError, match="action law fails"):
+        verify.check_action_and_relations()
+
+
 def test_a_fault_off_the_representatives_fails_inside_the_minimal_group(monkeypatch):
     # one element of <s,t> x S4, neither a generator nor position-only,
     # leaves every board but the two representatives where it was: only
