@@ -32,7 +32,6 @@ from .burnside import burnside_orbit_count, invariance_table
 from .graphio import export_nest_graph, export_orbit_graph
 from .nests import h4_nest_graph, h4_nests, s4_nest_graph, s4_nests
 from .search import parse_pool_file, search_products
-from .verify import run_checks
 
 
 class CliError(Exception):
@@ -215,6 +214,8 @@ def cmd_export(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import run_checks  # here, so that no other subcommand loads it
+
     return 0 if run_checks(print) else 1
 
 

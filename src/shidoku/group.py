@@ -8,7 +8,7 @@ as SymmetryElements do.  Only this module and burnside's fixed-point
 counts read the numbering: closure, products, conjugacy classes and
 membership multiply numbers through factor_tables(), image(n) moves
 board numbers as element n does, and burnside compares the factors'
-board images.
+board images, each gathered in C from a generator's or its parent's.
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 A hand-built SymmetryGroup must be generated by its generators or, if
@@ -26,7 +26,6 @@ from .perm import (
     RELABEL_GENERATOR_NAMES,
     Perm,
     SymmetryElement,
-    apply_values,
     position_elements,
     relabel_elements,
     relabeling,
@@ -50,8 +49,11 @@ class FactorTable(NamedTuple):
 
 
 def _applied(e: SymmetryElement) -> Iterator[tuple[int, ...]]:
-    """e applied to the values of each board, in board order."""
-    return (apply_values(e, b.values) for b in enumerate_all())
+    """e applied to the values of each board, in board order, as by
+    apply_values: two C-level gathers per board, cells then names."""
+    cells = itemgetter(*(i - 1 for i in e.pos.inverse().image))
+    rename = (0,) + e.rel.image
+    return (itemgetter(*cells(b.values))(rename) for b in enumerate_all())
 
 
 def _factor_table(gens: list[Perm], element: Callable[[Perm], SymmetryElement]) -> FactorTable:

@@ -153,11 +153,7 @@ def grid_perm(row_perm: Perm, col_perm: Perm) -> Perm:
     """
     if row_perm.degree != 4 or col_perm.degree != 4:
         raise ValueError("grid_perm wants degree-4 row and column permutations")
-    img = [0] * 16
-    for cell in range(1, 17):
-        r, c = coords(cell)
-        img[cell - 1] = cell_at(row_perm(r), col_perm(c))
-    return Perm(tuple(img))
+    return Perm(tuple(cell_at(row_perm(r), col_perm(c)) for r, c in map(coords, range(1, 17))))
 
 
 @lru_cache(maxsize=1)
@@ -167,11 +163,7 @@ def gen_r() -> Perm:
     Built geometrically from the coordinate map rather than a typed cycle
     list; tests pin it down via the r^4 = (tr)^2 = id relations.
     """
-    img = [0] * 16
-    for cell in range(1, 17):
-        r, c = coords(cell)
-        img[cell - 1] = cell_at(c, 5 - r)
-    return Perm(tuple(img))
+    return Perm(tuple(cell_at(c, 5 - r) for r, c in map(coords, range(1, 17))))
 
 
 @lru_cache(maxsize=1)
@@ -183,11 +175,7 @@ def gen_s() -> Perm:
 @lru_cache(maxsize=1)
 def gen_t() -> Perm:
     """Transpose of the board: the value at (i, j) moves to (j, i)."""
-    img = [0] * 16
-    for cell in range(1, 17):
-        r, c = coords(cell)
-        img[cell - 1] = cell_at(c, r)
-    return Perm(tuple(img))
+    return Perm(tuple(cell_at(c, r) for r, c in map(coords, range(1, 17))))
 
 
 @lru_cache(maxsize=1)

@@ -285,16 +285,18 @@ def test_usage_error_exit_code(capsys):
 
 
 def test_verify_exit_codes(monkeypatch, capsys):
-    # wiring only; the real checks run in the acceptance suite
-    monkeypatch.setattr(cli, "run_checks", lambda write: True)
+    # wiring only; the real checks run in the acceptance suite.  cmd_verify
+    # imports run_checks when it runs, so the patch goes on verify itself
+    monkeypatch.setattr("shidoku.verify.run_checks", lambda write: True)
     assert cli.main(["verify"]) == 0
-    monkeypatch.setattr(cli, "run_checks", lambda write: False)
+    monkeypatch.setattr("shidoku.verify.run_checks", lambda write: False)
     assert cli.main(["verify"]) == 1
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_json():
     # every invocation pays this import in a fresh interpreter: the
-    # records are tuples, and json loads only for --format json
+    # records are tuples, json loads only for --format json and verify
+    # only for `shidoku verify`; the modules the benchmark traces load
     code = (
         "import sys; before = set(sys.modules); import shidoku.cli; "
         "print(*sorted(set(sys.modules) - before))"
@@ -303,8 +305,9 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_json():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     added = proc.stdout.split()
-    assert "shidoku.cli" in added and "shidoku.nests" in added
-    assert not {"dataclasses", "json"} & set(added)
+    traced = "board perm group unionfind action burnside nests search graphio".split()
+    assert {"shidoku.cli", *(f"shidoku.{m}" for m in traced)} <= set(added)
+    assert not {"dataclasses", "json", "shidoku.verify"} & set(added)
 
 
 # Inputs for the fuzz test below: valid pieces mixed with junk.  A file

@@ -2,9 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from shidoku.action import apply_values
-from shidoku.board import board_numbers, enumerate_all
+from shidoku.board import Board, board_numbers, enumerate_all
 from shidoku.perm import (
     Perm,
     SymmetryElement,
@@ -27,6 +29,7 @@ from shidoku.group import (
     generate,
     generate_position,
     generate_relabel,
+    image,
     named_group,
     parse_group_description,
     position_group,
@@ -89,8 +92,27 @@ def test_factor_table_images_match_apply_on_every_board():
     numbers = board_numbers()
     position, relabel = factor_tables()
     for table, elements in ((position, position_elements), (relabel, relabel_elements)):
-        for e, image in zip(elements(table.elements), table.images, strict=True):
-            assert image == tuple(numbers[apply_values(e, b.values)] for b in enumerate_all())
+        for e, row in zip(elements(table.elements), table.images, strict=True):
+            assert row == tuple(numbers[apply_values(e, b.values)] for b in enumerate_all())
+
+
+@given(st.integers(0, 3071))
+def test_images_of_every_element_match_apply_on_every_board(n):
+    # mixed elements too: image(n) reads the position image through the relabel image
+    e, numbers = element(n), board_numbers()
+    assert image(n) == tuple(numbers[apply_values(e, b.values)] for b in enumerate_all())
+
+
+def test_element_number_names_the_first_board_a_mixed_element_breaks():
+    e = SymmetryElement(Perm.from_cycles("(1 2)", 16), relabeling("(1 2 3)"))
+    moved = [apply_values(e, b.values) for b in enumerate_all()]
+    first = next(values for values in moved if values not in board_numbers())
+    with pytest.raises(ValueError) as raised:
+        element_number(e)
+    assert str(raised.value) == f"symmetry {e} moves a board to {Board(first)}, not a valid board"
+    assert str(raised.value) == (
+        "symmetry pos=(1 2); rel=(1 2 3) moves a board to 3214142332414132, not a valid board"
+    )
 
 
 def test_element_numbers_sort_as_elements():
