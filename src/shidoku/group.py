@@ -4,10 +4,10 @@ conjugacy classes.
 Every group is a subgroup of H4 x S4 (order 3072), so its elements are
 numbered: position symmetry x and relabeling sigma by their places in
 sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
-as SymmetryElements do.  Only this module and burnside's fixed-point
-counts read the numbering: closure, products, conjugacy classes and
-membership multiply numbers through factor_tables(), image(n) moves
-board numbers as element n does, and burnside compares the factors'
+as SymmetryElements do.  Only this module, burnside's fixed-point counts
+and the S4 nest-graph aux read the numbering: closure, products, conjugacy
+classes and membership multiply numbers through factor_tables(), image(n)
+moves board numbers as element n does, and the other two read the factors'
 board images, each gathered in C from a generator's or its parent's.
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.

@@ -6,8 +6,9 @@ representative each holds: twelve relabeling-orbits A-L, whose
 canonical forms have the upper-left block 1,2 / 3,4, and six position
 orbits a-f (in lexicographic order), whose canonical forms have 1s on
 cells 1, 7, 10, 16, the cell-6 value <= the cell-11 value, and the cell-2
-value < the cell-5 value.  The canonicalizers check those forms and give
-each nest-graph edge its correcting symmetry, aux.
+value < the cell-5 value.  The canonicalizers check those forms.  A
+nest-graph edge's aux, back to its nest's representative, is read off
+the relabel board images (S4) or h4_canonicalize_with_transform (H4).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .board import Board, block_of, board_numbers, coords, enumerate_all
 from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
-from .group import SymmetryGroup, element_number, image, position_group, relabel_group
+from .group import SymmetryGroup, element_number, factor_tables, image, position_group, relabel_group
 from .action import Edge, Graph, apply_values, full_partition, orbits, position_apply
 
 #: Canonical representatives of the twelve relabeling-orbits (S4-nests).
@@ -74,19 +75,12 @@ class NestGraph(NamedTuple):
         raise KeyError(label)
 
 
-def s4_canonicalize_with_relabeling(b: Board) -> tuple[Board, Perm]:
-    """(canonical board, sigma) where sigma relabels b so the upper-left
-    block reads 1,2 / 3,4 in row-major order."""
+def s4_canonicalize(b: Board) -> Board:
+    """The unique relabeling of b whose upper-left block reads 1,2 / 3,4."""
     image = [0] * 4
     for cell, target in ((1, 1), (2, 2), (5, 3), (6, 4)):
         image[b.value_at(cell) - 1] = target
-    sigma = Perm(tuple(image))
-    return Board(apply_values(SymmetryElement.from_relabeling(sigma), b.values)), sigma
-
-
-def s4_canonicalize(b: Board) -> Board:
-    """The unique relabeling of b whose upper-left block reads 1,2 / 3,4."""
-    return s4_canonicalize_with_relabeling(b)[0]
+    return Board(apply_values(SymmetryElement.from_relabeling(Perm(tuple(image))), b.values))
 
 
 def _ones_configuration_transform(b: Board) -> Perm:
@@ -180,24 +174,31 @@ def _nest_graph(
     degree: int,
     nests: tuple[Nest, ...],
     element: Callable[[Perm], SymmetryElement],
-    canonicalize: Callable[[Board], tuple[Board, Perm]],
+    correction: Callable[[int, Nest], Perm],
 ) -> NestGraph:
     """Induced action of one factor's generators on the other factor's
-    nests: each representative moves by element(g)'s board image into the
-    nest holding its image; the symmetry that canonicalizes the image is
-    the edge's aux.  element_number rejects a generator outside H4 x S4."""
-    boards, numbers = enumerate_all(), board_numbers()
-    label_of = {numbers[b.values]: n.label for n in nests for b in n.members}
+    nests: each representative moves by element(g)'s board image to a
+    board k in nest n; correction(k, n), returning k to n's representative,
+    is the edge's aux.  element_number rejects a generator outside H4 x S4."""
+    numbers = board_numbers()
+    nest_of = {numbers[b.values]: n for n in nests for b in n.members}
     edges = []
     for name, g in _named(gens, degree):
         directed = not (g * g).is_identity
         moved = image(element_number(element(g)))
         for n in nests:
             k = moved[numbers[n.representative.values]]
-            fix = canonicalize(boards[k])[1]
+            fix = correction(k, nest_of[k])
             aux = None if fix.is_identity else fix
-            edges.append(Edge(n.label, label_of[k], name, directed, aux))
+            edges.append(Edge(n.label, nest_of[k].label, name, directed, aux))
     return NestGraph(tuple(n.label for n in nests), tuple(edges), nests)
+
+
+def _s4_correction(k: int, nest: Nest) -> Perm:
+    """The relabeling whose board image sends board k to nest's
+    representative; relabelings act freely, so there is one."""
+    relabel, rep = factor_tables()[1], board_numbers()[nest.representative.values]
+    return next(p for p, moved in zip(relabel.elements, relabel.images) if moved[k] == rep)
 
 
 def s4_nest_graph(gens: Iterable) -> NestGraph:
@@ -206,9 +207,7 @@ def s4_nest_graph(gens: Iterable) -> NestGraph:
     Each edge records the relabeling needed to return the moved
     representative to canonical form.
     """
-    return _nest_graph(
-        gens, 16, s4_nests(), SymmetryElement.from_position, s4_canonicalize_with_relabeling
-    )
+    return _nest_graph(gens, 16, s4_nests(), SymmetryElement.from_position, _s4_correction)
 
 
 def h4_nest_graph(gens: Iterable) -> NestGraph:
@@ -218,7 +217,8 @@ def h4_nest_graph(gens: Iterable) -> NestGraph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 4, h4_nests(), SymmetryElement.from_relabeling, h4_canonicalize_with_transform
+        gens, 4, h4_nests(), SymmetryElement.from_relabeling,
+        lambda k, _: h4_canonicalize_with_transform(enumerate_all()[k])[1],
     )
 
 

@@ -1,87 +1,75 @@
-"""Independent oracle implementations shared by the tests, the tests'
-reader of exported DOT text, their board file format and their check of
-the fixing rules on one invariant board.
+"""The tests' adapters over the benchmark's slow oracle, their reader of
+exported DOT text, their writer of group description files, their check
+of the fixing rules on one invariant board, and the boards they pin.
 
-The oracles deliberately avoid the production code paths: the action
-oracle writes values into destination cells directly from the
-definition, the orbit oracle searches over Boards moved by that action
-oracle instead of over board numbers and factor-table images, the
-component oracle follows edge pairs both ways instead of numbered
-permutation maps, the recovery oracle tries all 24 relabelings, the
-fixed-point oracle applies an element to every board, the product
-oracle composes each part point by point, the closure oracle multiplies
-SymmetryElements instead of element numbers, and the position-nest
-oracle scans a board's whole position orbit.
+bench/oracle.py is the one slow oracle: it rebuilds the boards, the
+position group, the action, closure and orbits from the definitions and
+imports nothing from shidoku (test_oracle.py guards that), so it shares
+no code with what it checks.  The adapters here only convert
+SymmetryElements and Boards to and from its image tuples.  The
+component oracle, over DOT and nest-graph edges, follows edge pairs both
+ways instead of numbered permutation maps.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import re
-from itertools import permutations
+from functools import lru_cache
+from pathlib import Path
 from typing import Iterable
 
-from shidoku.action import position_apply
-from shidoku.board import Board, enumerate_all, validate
+from shidoku.board import Board
 from shidoku.burnside import _fixing_rules, relabel_recovery
 from shidoku.group import SymmetryGroup
-from shidoku.perm import Perm, SymmetryElement, gen_r, gen_s, gen_t
+from shidoku.perm import Perm, SymmetryElement
+
+ORACLE_PATH = Path(__file__).resolve().parents[1] / "bench" / "oracle.py"
+
+
+def _load_oracle():
+    """bench/oracle.py by path, so that no other bench module becomes importable."""
+    spec = importlib.util.spec_from_file_location("bench_oracle", ORACLE_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+oracle = _load_oracle()
+
+
+def _act(pos: tuple[int, ...], rel: tuple[int, ...], values: tuple[int, ...]) -> tuple[int, ...]:
+    """oracle.act, with an empty cell kept empty: the oracle renames v as
+    rel[v - 1], so the appended 0 is what a 0 reads."""
+    return oracle.act((pos, rel + (0,)), values)
 
 
 def oracle_apply(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]:
     """Definition-level action: the value in cell i lands in cell pos(i),
     then every value v is renamed rel(v); a 0 (an empty cell) stays 0."""
-    out = [0] * 16
-    for i in range(16):
-        v = values[i]
-        out[e.pos.image[i] - 1] = e.rel.image[v - 1] if v else 0
-    return tuple(out)
+    return _act(e.pos.image, e.rel.image, values)
 
 
 def oracle_product(a: SymmetryElement, b: SymmetryElement) -> SymmetryElement:
-    """a * b componentwise from the definition, right factor first: each
-    part sends i to a's part of b's part of i, built through the
+    """a * b componentwise, right factor first, built through the
     validating constructors."""
+    return SymmetryElement(
+        Perm(oracle.compose(a.pos.image, b.pos.image)),
+        Perm(oracle.compose(a.rel.image, b.rel.image)),
+    )
 
-    def compose(p: Perm, q: Perm) -> Perm:
-        return Perm(tuple(p(q(i)) for i in range(1, q.degree + 1)))
 
-    return SymmetryElement(compose(a.pos, b.pos), compose(a.rel, b.rel))
-
-
-def oracle_orbits(
-    elements, boards: tuple[Board, ...]
-) -> set[frozenset[Board]]:
-    """Orbit partition by BFS over the given symmetry elements."""
-    elements = tuple(elements)
-    remaining = set(boards)
-    blocks: set[frozenset[Board]] = set()
-    while remaining:
-        seed = remaining.pop()
-        block = {seed}
-        frontier = [seed]
-        while frontier:
-            new = []
-            for b in frontier:
-                for e in elements:
-                    moved = Board(oracle_apply(e, b.values))
-                    if moved not in block:
-                        block.add(moved)
-                        new.append(moved)
-            frontier = new
-        remaining -= block
-        blocks.add(frozenset(block))
-    return blocks
+def oracle_orbits(elements: Iterable[SymmetryElement]) -> set[frozenset[Board]]:
+    """Orbit partition of all boards under the given symmetry elements."""
+    gens = [(e.pos.image, e.rel.image) for e in elements]
+    return {frozenset(map(Board, block)) for block in oracle.orbit_blocks(gens)}
 
 
 def oracle_recoveries(x: Perm, b: Board) -> list[Perm]:
     """All relabelings sigma with sigma(x(b)) = b, by trying every one."""
-    found = []
-    for image in permutations((1, 2, 3, 4)):
-        sigma = Perm(image)
-        e = SymmetryElement(x, sigma)
-        if oracle_apply(e, b.values) == b.values:
-            found.append(sigma)
-    return found
+    return [
+        Perm(rel) for rel in oracle.relabel_group() if _act(x.image, rel, b.values) == b.values
+    ]
 
 
 def check_fixing_lemmas(x: Perm, b: Board) -> bool:
@@ -98,26 +86,22 @@ def check_fixing_lemmas(x: Perm, b: Board) -> bool:
 
 def oracle_fixed_points(e: SymmetryElement) -> int:
     """Number of boards b with e(b) == b, by applying e to every board."""
-    return sum(1 for b in enumerate_all() if oracle_apply(e, b.values) == b.values)
+    return sum(_act(e.pos.image, e.rel.image, b) == b for b in oracle.boards())
+
+
+@lru_cache(maxsize=1)
+def _element_index():
+    return oracle.ElementIndex()
 
 
 def oracle_closure(gens: Iterable[SymmetryElement]) -> frozenset[SymmetryElement]:
-    """The group the generators generate, by breadth-first multiplication
-    of SymmetryElements."""
-    gens = tuple(gens)
-    identity = SymmetryElement.identity()
-    elements = {identity}
-    frontier = [identity]
-    while frontier:
-        new = []
-        for e in frontier:
-            for g in gens:
-                prod = g * e
-                if prod not in elements:
-                    elements.add(prod)
-                    new.append(prod)
-        frontier = new
-    return frozenset(elements)
+    """The group the generators generate, closed over the oracle's
+    numbering of H4 x S4 and decoded back into SymmetryElements."""
+    positions, relabels = oracle.position_group(), oracle.relabel_group()
+    numbers = _element_index().closure((e.pos.image, e.rel.image) for e in gens)
+    return frozenset(
+        SymmetryElement(Perm(positions[n // 24]), Perm(relabels[n % 24])) for n in numbers
+    )
 
 
 def is_subgroup(a: SymmetryGroup, b: SymmetryGroup) -> bool:
@@ -160,53 +144,13 @@ def h4_orbit_canonical(b: Board) -> Board:
     """Definitional canonicalization: scan b's whole position-orbit for
     the unique member in representative form, independent of the
     constructive nests.h4_canonicalize."""
-    gens = (gen_r(), gen_s(), gen_t())
-    orbit = {b.values}
-    frontier = [b.values]
-    while frontier:
-        new = []
-        for values in frontier:
-            for g in gens:
-                moved = position_apply(g, values)
-                if moved not in orbit:
-                    orbit.add(moved)
-                    new.append(moved)
-        frontier = new
+    orbit = {_act(x, oracle.ID4, b.values) for x in oracle.position_group()}
     matches = [values for values in orbit if matches_h4_representative_form(Board(values))]
     if len(matches) != 1:
         raise AssertionError(
             f"expected exactly one representative-form member, got {len(matches)}"
         )
     return Board(matches[0])
-
-
-def boards_to_file_text(boards: Iterable[Board]) -> str:
-    """Newline-delimited board file: sorted lexicographically, trailing newline."""
-    lines = sorted(b.text for b in boards)
-    return "".join(line + "\n" for line in lines)
-
-
-def boards_from_file_text(text: str) -> tuple[Board, ...]:
-    return tuple(Board.from_text(line) for line in text.split("\n") if line.strip())
-
-
-def enumerate_by_row_products() -> list[Board]:
-    """Exhaustive scan oracle for enumeration: every 16-tuple whose four
-    rows are permutations of 1..4, filtered by the validator.
-
-    Complete because any tuple outside this restricted space already
-    violates a row constraint.
-    """
-    rows = list(permutations((1, 2, 3, 4)))
-    found = []
-    for r1 in rows:
-        for r2 in rows:
-            for r3 in rows:
-                for r4 in rows:
-                    values = r1 + r2 + r3 + r4
-                    if validate(values):
-                        found.append(Board(values))
-    return found
 
 
 _NODE_RE = re.compile(r'^\s*"((?:[^"\\]|\\.)*)";$')

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from shidoku.unionfind import UnionFind, components, graph_components
+from shidoku.unionfind import components, graph_components
+from helpers import oracle_components
 
 
 def test_components_without_maps_are_singletons():
@@ -28,7 +29,8 @@ def test_components_orders_blocks_by_minimum_and_members_within():
     assert components(6, [m]) == [[0, 3, 5], [1, 4], [2]]
 
 
-def test_components_match_union_find_on_random_permutations():
+def test_components_match_the_edge_oracle_on_random_permutations():
+    # the oracle follows each edge (k, m[k]) both ways
     rng = random.Random(3)
     for _ in range(50):
         size = rng.randrange(1, 40)
@@ -40,11 +42,8 @@ def test_components_match_union_find_on_random_permutations():
             for src, dst in zip(moved, rng.sample(moved, len(moved))):
                 m[src] = dst
             maps.append(m)
-        uf = UnionFind(range(size))
-        for m in maps:
-            for k, j in enumerate(m):
-                uf.union(k, j)
-        assert components(size, maps) == uf.blocks()
+        edges = [(k, j) for m in maps for k, j in enumerate(m)]
+        assert components(size, maps) == oracle_components(range(size), edges)
 
 
 def test_graph_components_maps_edges_by_position_in_node_order():
