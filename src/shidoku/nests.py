@@ -8,7 +8,8 @@ orbits a-f (in lexicographic order), whose canonical forms have 1s on
 cells 1, 7, 10, 16, the cell-6 value <= the cell-11 value, and the cell-2
 value < the cell-5 value.  The canonicalizers check those forms.  A
 nest-graph edge's aux, back to its nest's representative, is read off
-the relabel board images (S4) or h4_canonicalize_with_transform (H4).
+the relabel board images (S4) or h4_canonicalize_with_transform (H4),
+which runs once per board (_h4_transform).
 """
 
 from __future__ import annotations
@@ -119,6 +120,13 @@ def h4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
     return Board(values), transform
 
 
+@lru_cache(maxsize=288)
+def _h4_transform(k: int) -> Perm:
+    """The position symmetry taking board number k to its canonical form;
+    keyed by the number, so one entry per board."""
+    return h4_canonicalize_with_transform(enumerate_all()[k])[1]
+
+
 def h4_canonicalize(b: Board) -> Board:
     """Canonical representative of b's position-orbit."""
     return h4_canonicalize_with_transform(b)[0]
@@ -217,8 +225,7 @@ def h4_nest_graph(gens: Iterable) -> NestGraph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 4, h4_nests(), SymmetryElement.from_relabeling,
-        lambda k, _: h4_canonicalize_with_transform(enumerate_all()[k])[1],
+        gens, 4, h4_nests(), SymmetryElement.from_relabeling, lambda k, _: _h4_transform(k)
     )
 
 

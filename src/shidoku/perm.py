@@ -9,6 +9,10 @@ factor acts first, (a * b)(i) = a(b(i)).  A `SymmetryElement` (pos, rel)
 acts on a board by first moving cells with `pos`, then renaming values
 with `rel`.  Orbit and Burnside results depend on this convention, so it
 is restated on every operation that composes or applies symmetries.
+
+`Perm` products are memoised in a bounded cache, and a `SymmetryElement`
+product composes its two parts through `Perm.__mul__`, so each distinct
+pair of factor permutations is composed once while the cache holds it.
 """
 
 from __future__ import annotations
@@ -27,17 +31,6 @@ RELABEL_DEGREE = 4
 #: The records' unchecked constructor, bound once so that products build
 #: their records without a classmethod call per part.
 _new = tuple.__new__
-
-
-def _compose(image: tuple[int, ...], other_image: tuple[int, ...]) -> tuple[int, ...]:
-    """The image of a * b from a's and b's images, right factor first:
-    entry i is image[other_image[i] - 1], gathered in C from a 1-based
-    copy of image.  Raises ValueError on images of different lengths."""
-    if len(image) != len(other_image):
-        raise ValueError("cannot compose permutations of different degrees")
-    if len(image) < 2:
-        return image  # the identity, the only permutation of degree 0 or 1
-    return itemgetter(*other_image)((0,) + image)
 
 
 class Perm(namedtuple("Perm", "image")):
@@ -102,9 +95,20 @@ class Perm(namedtuple("Perm", "image")):
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
 
+    @lru_cache(maxsize=4096)
     def __mul__(self, other: "Perm") -> "Perm":
-        """Compose, right factor first: (a * b)(i) = a(b(i))."""
-        return _new(Perm, (_compose(self.image, other.image),))
+        """Compose, right factor first: (a * b)(i) = a(b(i)).  Memoised in a
+        bounded cache that holds all of `verify`'s pairs; a degree mismatch
+        raises ValueError on every call, as exceptions are not cached.
+
+        Entry i of the image is image[other_image[i] - 1], gathered in C
+        from a 1-based copy of image."""
+        (image,), (other_image,) = self, other
+        if len(image) != len(other_image):
+            raise ValueError("cannot compose permutations of different degrees")
+        if len(image) < 2:
+            return self  # the identity, the only permutation of degree 0 or 1
+        return _new(Perm, (itemgetter(*other_image)((0,) + image),))
 
     def inverse(self) -> "Perm":
         img = [0] * self.degree
@@ -215,8 +219,9 @@ def relabel_generators() -> tuple[Perm, ...]:
 
 class SymmetryElement(namedtuple("SymmetryElement", "pos rel")):
     """A combined symmetry (pos, rel): move cells by pos, then rename
-    values by rel.  Composition is componentwise, right factor first.
-    An immutable tuple record, ordered as the tuple (pos, rel)."""
+    values by rel.  Composition is componentwise, right factor first,
+    through the memoised `Perm.__mul__`.  An immutable tuple record,
+    ordered as the tuple (pos, rel)."""
 
     __slots__ = ()
 
@@ -249,9 +254,8 @@ class SymmetryElement(namedtuple("SymmetryElement", "pos rel")):
         return self.pos.is_identity and self.rel.is_identity
 
     def __mul__(self, other: "SymmetryElement") -> "SymmetryElement":
-        ((p,), (r,)), ((q,), (s,)) = self, other  # each Perm is the 1-tuple (image,)
-        pos, rel = _new(Perm, (_compose(p, q),)), _new(Perm, (_compose(r, s),))
-        return _new(SymmetryElement, (pos, rel))
+        (p, r), (q, s) = self, other
+        return _new(SymmetryElement, (p * q, r * s))
 
     def inverse(self) -> "SymmetryElement":
         return SymmetryElement._trusted(self.pos.inverse(), self.rel.inverse())

@@ -28,6 +28,7 @@ from helpers import (
     TYPE2_TEXT,
     h4_orbit_canonical,
     matches_h4_representative_form,
+    oracle_apply,
     oracle_components,
 )
 
@@ -211,6 +212,29 @@ def test_h4_nest_graph_well_defined_on_all_members():
             for member in nest.members:
                 moved = apply(SymmetryElement.from_relabeling(sigma), member)
                 assert index[h4_canonicalize(moved)] == targets[nest.label]
+
+
+def test_every_nest_graph_aux_returns_the_moved_representative():
+    # each edge is a witness: the generator, then the aux, takes the
+    # source representative to the destination's, by the oracle's action
+    position_gens = [("r", gen_r()), ("r2", gen_r2()), ("s", gen_s()), ("t", gen_t())]
+    relabel_gens = [
+        (name, relabeling(name))
+        for name in ("(1 2)", "(2 3)", "(3 4)", "(1 4)", "(1 2 3)", "(1 2 3 4)")
+    ]
+    cases = [
+        (s4_nest_graph(position_gens), position_gens, SymmetryElement.from_position,
+         SymmetryElement.from_relabeling, 4),
+        (h4_nest_graph(relabel_gens), relabel_gens, SymmetryElement.from_relabeling,
+         SymmetryElement.from_position, 16),
+    ]
+    for graph, gens, move, correct, aux_degree in cases:
+        by_name = dict(gens)
+        for edge in graph.edges:
+            aux = edge.aux or Perm.identity(aux_degree)
+            moved = oracle_apply(move(by_name[edge.label]), graph.nest(edge.src).representative.values)
+            assert oracle_apply(correct(aux), moved) == graph.nest(edge.dst).representative.values
+    assert [len(graph.edges) for graph, *_ in cases] == [4 * 12, 6 * 6]
 
 
 def test_completeness_via_nests():

@@ -1,3 +1,4 @@
+import random
 from itertools import permutations
 
 import pytest
@@ -16,6 +17,8 @@ from shidoku.perm import (
 )
 from shidoku.group import position_group
 from shidoku.action import is_position_symmetry
+from shidoku.verify import run_checks
+from helpers import oracle
 
 
 def word(*letters: Perm) -> Perm:
@@ -108,6 +111,31 @@ def test_compose_in_degrees_zero_and_one(degree):
     assert product == p and type(product) is Perm
     assert product.image == tuple(range(1, degree + 1)) and type(product.image) is tuple
     assert product.is_identity and product.order() == 1
+
+
+def test_memoised_products_stay_right_past_the_cache_bound():
+    rng = random.Random(19)
+    maxsize = Perm.__mul__.cache_info().maxsize
+    points = list(range(1, 17))
+    pairs = set()
+    while len(pairs) <= maxsize + 500:
+        pairs.add((tuple(rng.sample(points, 16)), tuple(rng.sample(points, 16))))
+    for a, b in [*pairs, *rng.sample(sorted(pairs), 500)]:  # misses, then hits and misses
+        product = Perm(a) * Perm(b)
+        assert product.image == oracle.compose(a, b)
+        assert type(product) is Perm and type(product.image) is tuple
+    assert Perm.__mul__.cache_info().currsize <= maxsize
+    for _ in range(2):  # a failed product is not cached: it raises again
+        with pytest.raises(ValueError, match="cannot compose permutations of different degrees"):
+            gen_s() * relabeling("(1 2)")
+
+
+def test_the_product_cache_holds_every_pair_verify_multiplies():
+    Perm.__mul__.cache_clear()
+    assert run_checks(write=lambda line: None)
+    info = Perm.__mul__.cache_info()
+    assert info.misses == info.currsize  # nothing was evicted
+    assert info.hits >= 50 * info.misses
 
 
 def test_grid_perm_matches_row_swap():

@@ -4,18 +4,19 @@ elements, and boards."""
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shidoku.board import enumerate_all, validate
+from shidoku.board import Board, enumerate_all, validate
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t
 from shidoku.group import (
     direct_product,
     full_group,
+    generate,
     generate_position,
     generate_relabel,
     position_group,
     relabel_group,
 )
 from shidoku.action import apply, full_partition, is_complete, orbits
-from shidoku.burnside import relabel_recovery
+from shidoku.burnside import burnside_orbit_count, relabel_recovery
 from shidoku.nests import h4_canonicalize, s4_canonicalize
 from helpers import oracle_apply, oracle_product, oracle_recoveries
 
@@ -121,3 +122,20 @@ def test_orbits_refine_the_full_partition(pos_gens, rel_gens):
 def test_complete_iff_two_orbits(pos_gens, rel_gens):
     g = direct_product(generate_position(pos_gens), generate_relabel(rel_gens))
     assert is_complete(g) == (orbits(g).block_count == 2)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(elements, min_size=1, max_size=2), elements)
+def test_verdicts_are_invariant_under_conjugation(gens, c):
+    # c G c^-1 is built through SymmetryElement products, so the memoised
+    # factor products see random traffic; its verdicts must be G's, and
+    # its orbits c applied to G's.  A closure fault that commutes with
+    # conjugation passes all that, so the Burnside count over the closed
+    # elements must also be the orbit count over the generators.
+    c_inverse = c.inverse()
+    g, h = generate(gens), generate([c * x * c_inverse for x in gens])
+    assert h.order == g.order
+    assert is_complete(h) == is_complete(g)
+    assert burnside_orbit_count(h) == burnside_orbit_count(g) == orbits(g).block_count
+    moved = {frozenset(Board(oracle_apply(c, b.values)) for b in block) for block in orbits(g).blocks}
+    assert {frozenset(block) for block in orbits(h).blocks} == moved
