@@ -1,18 +1,20 @@
-"""Fixed-point counting and orbit counts via the averaging lemma.
+"""Fixed-point counts and orbit counts via the averaging lemma.
 
-Fixed-point counts are read off the factors' board images
-(group.factor_tables): board k is fixed by (x, sigma) exactly when
-sigma undoes the cell move x, that is, when x sends k where sigma^-1
-does.  Relabelings act freely on valid boards (the first row carries
-every value), so a sigma that undoes x on a board is unique when it
-exists: x's invariant count is the sum of the fixed counts of (x, sigma)
-over the 24 sigma.  relabel_recovery finds that sigma on one board, for
-the fixing rules and verify.
+Board k is fixed by (x, sigma) exactly when sigma undoes the cell move
+x on it.  Relabelings act freely on valid boards (the first row carries
+every value), so that sigma is unique when it exists, and undo_row(p)
+names it for position symmetry number p on every board, read off the
+factors' board images (group.factor_tables).  An element's fixed count
+is how often its row names its relabeling, and x's invariant count how
+many boards its row names any relabeling for; verify's fixing-rules
+check takes its candidate pairs from the same rows.  relabel_recovery
+finds the sigma on one board from its cells.
 """
 
 from __future__ import annotations
 
-from operator import eq
+from functools import lru_cache
+from operator import add
 from typing import NamedTuple
 
 from .board import VALUES, Board, REGIONS
@@ -20,7 +22,6 @@ from .group import (
     RELABELINGS,
     ConjugacyClass,
     SymmetryGroup,
-    _inverse,
     conjugacy_classes,
     element_number,
     factor_tables,
@@ -47,21 +48,39 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
     return Perm._trusted(image) if set(image) == {1, 2, 3, 4} else None
 
 
+@lru_cache(maxsize=1)
+def _senders() -> bytes:
+    """Entry k * 288 + m is 1 + the number of the relabeling that sends
+    board m to board k, or 0 if none does (at most one does)."""
+    senders = bytearray(288 * 288)
+    for r, row in enumerate(factor_tables()[1].images, start=1):
+        for m, k in enumerate(row):
+            senders[k * 288 + m] = r
+    return bytes(senders)
+
+
+@lru_cache(maxsize=128)
+def undo_row(p: int) -> bytes:
+    """Entry k is 1 + the number of the relabeling sigma for which
+    (x, sigma) fixes board k, x the position symmetry numbered p, or 0
+    if no relabeling undoes x on board k."""
+    moved = factor_tables()[0].images[p]
+    return bytes(map(_senders().__getitem__, map(add, range(0, 288 * 288, 288), moved)))
+
+
 def invariant_count(x: Perm) -> int:
-    """Number of boards invariant under x up to relabeling: the fixed
-    counts of (x, sigma) summed over all 24 sigma, exact because at most
-    one sigma fixes a board.  Raises element_number's ValueError unless x
-    is in H4."""
-    n = element_number(SymmetryElement.from_position(x))
-    return sum(map(_fixed_count, range(n, n + RELABELINGS)))
+    """Number of boards invariant under x up to relabeling: those on
+    which some relabeling undoes x.  Raises element_number's ValueError
+    unless x is in H4."""
+    row = undo_row(element_number(SymmetryElement.from_position(x)) // RELABELINGS)
+    return len(row) - row.count(0)
 
 
 def _fixed_count(n: int) -> int:
-    """Number of boards k that element number n = (x, sigma) maps to k:
-    those that x moves where sigma^-1 does."""
-    position, relabel = factor_tables()
+    """Number of boards that element number n = (x, sigma) fixes: those
+    on which sigma undoes x."""
     p, r = divmod(n, RELABELINGS)
-    return sum(map(eq, position.images[p], relabel.images[_inverse(r)]))
+    return undo_row(p).count(r + 1)
 
 
 def fixed_points(e: SymmetryElement) -> int:

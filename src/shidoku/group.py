@@ -4,11 +4,12 @@ conjugacy classes.
 Every group is a subgroup of H4 x S4 (order 3072), so its elements are
 numbered: position symmetry x and relabeling sigma by their places in
 sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
-as SymmetryElements do.  Only this module, burnside's fixed-point counts
-and the S4 nest-graph aux read the numbering: closure, products, conjugacy
-classes and membership multiply numbers through factor_tables(), image(n)
-moves board numbers as element n does, and the other two read the factors'
-board images, each gathered in C from a generator's or its parent's.
+as SymmetryElements do.  Only this module, burnside's undo rows (which
+verify's fixing-rules check reads) and the S4 nest-graph aux read the
+numbering: closure, products, conjugacy classes and membership multiply
+numbers through factor_tables(), image(n) moves board numbers as element
+n does, and the other two read the factors' board images, each gathered
+in C from a generator's or its parent's.
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 A hand-built SymmetryGroup must be generated by its generators or, if
@@ -26,6 +27,7 @@ from .perm import (
     RELABEL_GENERATOR_NAMES,
     Perm,
     SymmetryElement,
+    _cells,
     position_elements,
     relabel_elements,
     relabeling,
@@ -51,7 +53,7 @@ class FactorTable(NamedTuple):
 def _applied(e: SymmetryElement) -> Iterator[tuple[int, ...]]:
     """e applied to the values of each board, in board order, as by
     apply_values: two C-level gathers per board, cells then names."""
-    cells = itemgetter(*(i - 1 for i in e.pos.inverse().image))
+    cells = _cells(e.pos)
     rename = (0,) + e.rel.image
     return (itemgetter(*cells(b.values))(rename) for b in enumerate_all())
 

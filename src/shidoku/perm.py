@@ -264,21 +264,27 @@ class SymmetryElement(namedtuple("SymmetryElement", "pos rel")):
         return f"pos={self.pos.cycle_notation()}; rel={self.rel.cycle_notation()}"
 
 
+@lru_cache(maxsize=128)
+def _cells(pos: Perm) -> itemgetter:
+    """The gather that moves 16 cell values by pos: place c - 1 of its
+    result holds the value of cell pos^-1(c)."""
+    return itemgetter(*(i - 1 for i in pos.inverse().image))
+
+
 def apply_values(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]:
-    """The value in cell i lands in cell e.pos(i), renamed by e.rel.
+    """The value in cell i lands in cell e.pos(i), renamed by e.rel: two
+    C-level gathers, cells then names.
 
     Raises ValueError unless there are exactly 16 values, or on a value
     below 0 or above 4; a 0 value is moved but not renamed.
     """
-    r = e.rel.image
-    rename = {0: 0, 1: r[0], 2: r[1], 3: r[2], 4: r[3]}
-    out = [0] * 17  # 1-based: out[c] is cell c's value, out[0] unused
+    if len(values) != POSITION_DEGREE:
+        raise ValueError(f"not {POSITION_DEGREE} board values: {len(values)}")
+    a, b, c, d = e.rel.image
     try:
-        for target, v in zip(e.pos.image, values, strict=True):
-            out[target] = rename[v]
-    except KeyError:
-        raise ValueError(f"board value {v} out of range 0..4") from None
-    return tuple(out[1:])
+        return itemgetter(*_cells(e.pos)(values))({0: 0, 1: a, 2: b, 3: c, 4: d})
+    except KeyError as exc:
+        raise ValueError(f"board value {exc.args[0]} out of range 0..4") from None
 
 
 def position_elements(perms: Iterable[Perm]) -> list[SymmetryElement]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .board import Board, board_numbers, count_with_ones_configuration, enumerate_all, validate
+from .board import Board, board_numbers, count_with_ones_configuration, enumerate_all
 from .perm import (
     Perm,
     SymmetryElement,
@@ -26,6 +26,7 @@ from .perm import (
 from .group import (
     direct_product,
     element_number,
+    factor_tables,
     full_group,
     generate_position,
     generate_relabel,
@@ -35,7 +36,13 @@ from .group import (
     relabel_group,
 )
 from .action import apply, apply_values, full_partition, is_complete, named_generators, orbit_graph, orbits
-from .burnside import _fixing_rules, burnside_orbit_count, invariance_table, relabel_recovery
+from .burnside import (
+    _fixing_rules,
+    burnside_orbit_count,
+    invariance_table,
+    relabel_recovery,
+    undo_row,
+)
 from .nests import (
     completeness_via_nests,
     h4_nest_graph,
@@ -199,17 +206,26 @@ def check_quotient_consistency() -> None:
 
 def check_fixing_rules_exhaustive() -> None:
     """The three fixing rules hold for every (position symmetry, invariant
-    board) pair: a 128 x 288 scan."""
+    board) pair: a 128 x 288 scan.  The undo rows propose each pair and
+    its relabeling sigma; apply confirms that (x, sigma) fixes the board,
+    relabel_recovery that it finds sigma, and a total of 2 x 3072 pairs
+    (Burnside, two orbits) shows that no invariant pair was left out."""
+    boards = enumerate_all()
+    position, relabel = factor_tables()
     pairs = 0
-    for e in position_group().sorted_elements():
-        for b in enumerate_all():
-            if (sigma := relabel_recovery(e.pos, b)) is not None:
-                pairs += 1
-                if not _fixing_rules(e.pos, b, sigma):
-                    raise AssertionError(
-                        f"fixing rules fail for x={e.pos.cycle_notation() or '()'} on {b.text}"
-                    )
-    expect(pairs > 0, "no invariant pairs found; the scan is broken")
+    for p, x in enumerate(position.elements):
+        for k, r in enumerate(undo_row(p)):
+            if not r:
+                continue
+            b, sigma = boards[k], relabel.elements[r - 1]
+            moved = apply_values(SymmetryElement._trusted(x, sigma), b.values)
+            if moved != b.values or relabel_recovery(x, b) != sigma:
+                raise AssertionError(f"undo row: {sigma} does not undo x={x} on {b.text}")
+            if not _fixing_rules(x, b, sigma):
+                raise AssertionError(f"fixing rules fail for x={x} on {b.text}")
+            pairs += 1
+    want = 2 * full_group().order
+    expect(pairs == want, f"{pairs} invariant pairs confirmed, not the {want} of two orbits")
 
 
 def check_ones_configuration() -> None:
@@ -272,12 +288,7 @@ def check_action_and_relations() -> None:
     ]
     moves = []  # moves[g][k]: generator g's image of board k
     for e in generators:
-        row = []
-        for b in boards:
-            moved = apply_values(e, b.values)
-            if not validate(moved):
-                raise AssertionError(f"generator broke board {b.text}")
-            row.append(numbers[moved])
+        row = [number(e, b) for b in boards]
         moves.append(row)
         expect(row == list(image(element_number(e))), f"factor table image of {e} is not apply's")
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from shidoku.board import Board, enumerate_all, validate
-from shidoku.perm import Perm, SymmetryElement, gen_r, gen_s, gen_t, relabeling
+from shidoku.perm import Perm, SymmetryElement, _cells, gen_r, gen_s, gen_t, relabeling
 from shidoku.group import (
     direct_product,
     generate,
@@ -78,6 +78,20 @@ def test_apply_matches_definition_oracle_on_zero_values():
         holed = b.values[:cell] + (0,) + b.values[cell + 1 :]
         for e in elements:
             assert apply_values(e, holed) == oracle_apply(e, holed)
+
+
+def test_apply_values_stays_right_past_the_cell_gather_bound():
+    # more distinct cell permutations than the memoised gathers hold, any
+    # of them, not only H4's: applying them is pure moving and renaming
+    rng = random.Random(20)
+    boards = enumerate_all()
+    for _ in range(300):
+        pos, rel = rng.sample(range(1, 17), 16), rng.sample(range(1, 5), 4)
+        e = SymmetryElement(Perm(tuple(pos)), Perm(tuple(rel)))
+        values = rng.choice(boards).values
+        assert apply_values(e, values) == oracle_apply(e, values)
+    info = _cells.cache_info()
+    assert info.currsize <= info.maxsize < 300
 
 
 def test_orbits_full_group():

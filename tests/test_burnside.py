@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from shidoku.board import Board, enumerate_all
@@ -5,7 +7,9 @@ from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, rel
 from shidoku.group import (
     SymmetryGroup,
     conjugacy_classes,
+    element,
     element_number,
+    factor_tables,
     generate,
     generate_position,
     named_group,
@@ -15,12 +19,14 @@ from shidoku.group import (
 )
 from shidoku.action import apply
 from shidoku.burnside import (
+    _fixed_count,
     _fixing_rules,
     burnside_orbit_count,
     fixed_points,
     invariance_table,
     invariant_count,
     relabel_recovery,
+    undo_row,
 )
 from helpers import (
     INVARIANT_UNDER_TRANSPOSE_TEXT,
@@ -170,11 +176,18 @@ def test_invariance_table_rejects_mixed_group():
 
 
 def test_invariant_count_equals_the_recovery_hits_on_every_position_symmetry():
-    # read off the fixed counts of (x, sigma) over all sigma, the count
-    # must be the number of boards on which some relabeling undoes x
-    for e in position_group().sorted_elements():
-        hits = sum(relabel_recovery(e.pos, b) is not None for b in enumerate_all())
-        assert invariant_count(e.pos) == hits
+    # all 128 x 288 pairs: undo row entry k names the relabeling that
+    # undoes x on board k, and the count is the number of boards with one
+    positions, relabelings = (table.elements for table in factor_tables())
+    for p, x in enumerate(positions):
+        recovered = [relabel_recovery(x, b) for b in enumerate_all()]
+        assert [relabelings[r - 1] if r else None for r in undo_row(p)] == recovered
+        assert invariant_count(x) == sum(sigma is not None for sigma in recovered)
+
+
+def test_fixed_counts_match_the_oracle_on_a_seeded_sample():
+    for n in random.Random(20).sample(range(3072), 40):
+        assert _fixed_count(n) == oracle_fixed_points(element(n))
 
 
 def test_invariant_count_rejects_a_cell_permutation_outside_h4():
@@ -192,6 +205,8 @@ def test_invariant_count_constant_on_classes():
     # invariance_table counts each class on its representative only
     classes = conjugacy_classes(position_group())
     assert sum(cls.size for cls in classes) == 128
+    rows = [(cls.size, invariant_count(cls.representative.pos)) for cls in classes]
+    assert sorted(rows) == POSITION_GROUP_TABLE
     for cls in classes:
         counts = {invariant_count(member.pos) for member in cls.members}
         assert counts == {invariant_count(cls.representative.pos)}

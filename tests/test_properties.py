@@ -1,12 +1,15 @@
 """Property-based tests over randomly sampled permutations, group
 elements, and boards."""
 
+from collections import Counter
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shidoku.board import Board, enumerate_all, validate
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t
 from shidoku.group import (
+    conjugacy_classes,
     direct_product,
     full_group,
     generate,
@@ -125,17 +128,20 @@ def test_complete_iff_two_orbits(pos_gens, rel_gens):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.lists(elements, min_size=1, max_size=2), elements)
+@given(st.lists(elements, min_size=1, max_size=3), elements)
 def test_verdicts_are_invariant_under_conjugation(gens, c):
     # c G c^-1 is built through SymmetryElement products, so the memoised
-    # factor products see random traffic; its verdicts must be G's, and
-    # its orbits c applied to G's.  A closure fault that commutes with
-    # conjugation passes all that, so the Burnside count over the closed
-    # elements must also be the orbit count over the generators.
+    # factor products and the undo rows see random traffic; its verdicts
+    # and class sizes must be G's, and its orbits c applied to G's.  A
+    # closure fault that commutes with conjugation passes all that, so the
+    # Burnside count over the closed elements must also be the orbit count
+    # over the generators.
     c_inverse = c.inverse()
     g, h = generate(gens), generate([c * x * c_inverse for x in gens])
     assert h.order == g.order
     assert is_complete(h) == is_complete(g)
+    sizes = [Counter(cls.size for cls in conjugacy_classes(x)) for x in (g, h)]
+    assert sizes[0] == sizes[1]
     assert burnside_orbit_count(h) == burnside_orbit_count(g) == orbits(g).block_count
     moved = {frozenset(Board(oracle_apply(c, b.values)) for b in block) for block in orbits(g).blocks}
     assert {frozenset(block) for block in orbits(h).blocks} == moved

@@ -1,19 +1,64 @@
-"""Check 13 (action-and-relations) computes each image once and looks it
-up; these tests break the action or the product in one way each and
-check that the lookups still catch it.
+"""Checks 11 (fixing-rules) and 13 (action-and-relations) take their
+answers from apply and from SymmetryElement products; these tests break
+the undo rows, the fixing rules, the action or the product in one way
+each and check that the check still catches it.
 
-Each fault is patched into both the action module and the verify
+Each action fault is patched into both the action module and the verify
 module, so it reaches every apply path the check may take.
 """
 
+import re
+
 import pytest
 
-from shidoku import action, verify
-from shidoku.board import Board
-from shidoku.group import named_group
+from shidoku import action, burnside, verify
+from shidoku.board import Board, enumerate_all
+from shidoku.group import factor_tables, named_group
 from shidoku.perm import SymmetryElement, gen_s, gen_t, relabeling
+from helpers import INVARIANT_UNDER_TRANSPOSE_TEXT
 
 apply_values = action.apply_values
+T_NUMBER = factor_tables()[0].numbers[gen_t()]
+T_INVARIANT = Board.from_text(INVARIANT_UNDER_TRANSPOSE_TEXT)
+
+
+def undo_row_with(entry):
+    """burnside.undo_row, with board T_INVARIANT's entry in t's row
+    replaced by entry(old entry)."""
+    k = enumerate_all().index(T_INVARIANT)
+
+    def faulty(p):
+        row = burnside.undo_row(p)
+        if p != T_NUMBER:
+            return row
+        return row[:k] + bytes([entry(row[k])]) + row[k + 1 :]
+
+    return faulty
+
+
+def test_an_undo_entry_naming_a_relabeling_that_does_not_fix_fails(monkeypatch):
+    monkeypatch.setattr(verify, "undo_row", undo_row_with(lambda r: r % 24 + 1))
+    with pytest.raises(AssertionError, match="undo row: .* does not undo x="):
+        verify.check_fixing_rules_exhaustive()
+
+
+def test_an_undo_row_missing_an_invariant_board_fails_on_the_count(monkeypatch):
+    # every pair proposed is confirmed, so only the count sees the gap
+    monkeypatch.setattr(verify, "undo_row", undo_row_with(lambda r: 0))
+    with pytest.raises(AssertionError, match="6143 invariant pairs confirmed, not the 6144"):
+        verify.check_fixing_rules_exhaustive()
+
+
+def test_fixing_rules_rejecting_one_pair_fail(monkeypatch):
+    rules = burnside._fixing_rules
+    monkeypatch.setattr(
+        verify,
+        "_fixing_rules",
+        lambda x, b, sigma: rules(x, b, sigma) and (x, b) != (gen_t(), T_INVARIANT),
+    )
+    want = f"fixing rules fail for x={gen_t()} on {T_INVARIANT.text}"
+    with pytest.raises(AssertionError, match=re.escape(want)):
+        verify.check_fixing_rules_exhaustive()
 
 
 def patch_action(monkeypatch, faulty):
