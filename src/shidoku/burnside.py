@@ -124,18 +124,27 @@ def invariance_table(h: SymmetryGroup) -> InvarianceTable:
     return InvarianceTable(h, rows)
 
 
+@lru_cache(maxsize=128)
+def _fixed_cells(x: Perm) -> tuple[tuple[int, ...], bool]:
+    """The cells x fixes, as 0-based indices, and whether they cover some
+    region: facts of x alone, found once per position symmetry."""
+    fixed = {i for i, j in enumerate(x.image, start=1) if i == j}
+    return tuple(i - 1 for i in sorted(fixed)), any(map(fixed.issuperset, REGIONS))
+
+
 def _fixing_rules(x: Perm, b: Board, sigma: Perm) -> bool:
     """The three fixing rules for b and the relabeling sigma that undoes x on it:
       1. a value sitting in a cell fixed by x must be fixed by sigma;
       2. if x fixes some region pointwise, sigma is the identity;
       3. a value fixed by sigma must travel to cells of the same value:
          sigma(n) = n and b[i] = n imply b[x(i)] = n.
+    x's fixed cells and region flag come from _fixed_cells.
     """
     v, pos = b.values, x.image
     s = (0,) + sigma.image  # s[n] = sigma(n); a 0 is never renamed
-    fixed = {i for i, j in enumerate(pos, start=1) if i == j}
+    fixed, fixes_region = _fixed_cells(x)
     return (
-        all(s[v[i - 1]] == v[i - 1] for i in fixed)
-        and (sigma.is_identity or not any(map(fixed.issuperset, REGIONS)))
+        all(s[v[i]] == v[i] for i in fixed)
+        and (not fixes_region or sigma.is_identity)
         and all(v[j - 1] == n for n, j in zip(v, pos) if s[n] == n)
     )

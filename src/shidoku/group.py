@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .board import Board, board_numbers, enumerate_all
 from .perm import (
     RELABEL_GENERATOR_NAMES,
     Perm,
     SymmetryElement,
-    _cells,
+    apply_batch,
     position_elements,
     relabel_elements,
     relabeling,
@@ -50,14 +50,6 @@ class FactorTable(NamedTuple):
     images: tuple[tuple[int, ...], ...]
 
 
-def _applied(e: SymmetryElement) -> Iterator[tuple[int, ...]]:
-    """e applied to the values of each board, in board order, as by
-    apply_values: two C-level gathers per board, cells then names."""
-    cells = _cells(e.pos)
-    rename = (0,) + e.rel.image
-    return (itemgetter(*cells(b.values))(rename) for b in enumerate_all())
-
-
 def _factor_table(gens: list[Perm], element: Callable[[Perm], SymmetryElement]) -> FactorTable:
     """The factor gens generate, closed breadth-first.  Only the
     generators are multiplied out and applied to the boards: the product
@@ -73,7 +65,8 @@ def _factor_table(gens: list[Perm], element: Callable[[Perm], SymmetryElement]) 
     elements = tuple(sorted(parents))
     numbers = {p: n for n, p in enumerate(elements)}
     left = [[numbers[g * p] for p in elements] for g in gens]
-    moved = [[board_numbers()[values] for values in _applied(element(g))] for g in gens]
+    boards = [b.values for b in enumerate_all()]
+    moved = [[board_numbers()[values] for values in apply_batch(element(g), boards)] for g in gens]
     rows = {identity: tuple(range(len(elements)))}
     images = {identity: tuple(range(len(board_numbers())))}
     for q in queue[1:]:
@@ -102,7 +95,8 @@ def element_number(e: SymmetryElement) -> int:
     position, relabel = factor_tables()
     if (p := position.numbers.get(e.pos)) is None:
         # H4 is every cell permutation that keeps all boards valid
-        moved = next(values for values in _applied(e) if values not in board_numbers())
+        boards = [b.values for b in enumerate_all()]
+        moved = next(v for v in apply_batch(e, boards) if v not in board_numbers())
         raise ValueError(f"symmetry {e} moves a board to {Board(moved)}, not a valid board")
     return p * RELABELINGS + relabel.numbers[e.rel]
 

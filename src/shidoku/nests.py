@@ -9,7 +9,8 @@ cells 1, 7, 10, 16, the cell-6 value <= the cell-11 value, and the cell-2
 value < the cell-5 value.  The canonicalizers check those forms.  A
 nest-graph edge's aux, back to its nest's representative, is read off
 the relabel board images (S4) or h4_canonicalize_with_transform (H4),
-which runs once per board (_h4_transform).
+which runs once per board (_h4_transform).  Nest graphs and
+completeness_via_nests find boards' nests by board number (_nest_numbers).
 """
 
 from __future__ import annotations
@@ -177,35 +178,52 @@ def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
     return named
 
 
+@lru_cache(maxsize=2)
+def _nest_numbers(
+    factor_nests: Callable[[], tuple[Nest, ...]],
+) -> tuple[dict[int, int], tuple[int, ...], tuple[frozenset[int], ...]]:
+    """The nests factor_nests() returns, in board numbers: (nest_of, reps,
+    members), where nest_of[k] is the index of the nest holding board k,
+    and reps[i] and members[i] are nest i's representative and members.
+    Built once per factor and keyed by its nests function, as hashing a
+    tuple of Nests hashes every Board."""
+    numbers, nests = board_numbers(), factor_nests()
+    members = tuple(frozenset(numbers[b.values] for b in n.members) for n in nests)
+    nest_of = {k: i for i, block in enumerate(members) for k in block}
+    return nest_of, tuple(numbers[n.representative.values] for n in nests), members
+
+
 def _nest_graph(
     gens: Iterable,
     degree: int,
-    nests: tuple[Nest, ...],
+    factor_nests: Callable[[], tuple[Nest, ...]],
     element: Callable[[Perm], SymmetryElement],
-    correction: Callable[[int, Nest], Perm],
+    correction: Callable[[int, int], Perm],
 ) -> NestGraph:
     """Induced action of one factor's generators on the other factor's
-    nests: each representative moves by element(g)'s board image to a
-    board k in nest n; correction(k, n), returning k to n's representative,
-    is the edge's aux.  element_number rejects a generator outside H4 x S4."""
-    numbers = board_numbers()
-    nest_of = {numbers[b.values]: n for n in nests for b in n.members}
+    nests, factor_nests(): each representative moves by element(g)'s
+    board image to a board k in some nest; correction(k, rep), returning
+    k to the board numbered rep, that nest's representative, is the
+    edge's aux.  element_number rejects a generator outside H4 x S4."""
+    nests = factor_nests()
+    nest_of, reps, _ = _nest_numbers(factor_nests)
     edges = []
     for name, g in _named(gens, degree):
         directed = not (g * g).is_identity
         moved = image(element_number(element(g)))
-        for n in nests:
-            k = moved[numbers[n.representative.values]]
-            fix = correction(k, nest_of[k])
+        for n, rep in zip(nests, reps):
+            k = moved[rep]
+            dst = nest_of[k]
+            fix = correction(k, reps[dst])
             aux = None if fix.is_identity else fix
-            edges.append(Edge(n.label, nest_of[k].label, name, directed, aux))
+            edges.append(Edge(n.label, nests[dst].label, name, directed, aux))
     return NestGraph(tuple(n.label for n in nests), tuple(edges), nests)
 
 
-def _s4_correction(k: int, nest: Nest) -> Perm:
-    """The relabeling whose board image sends board k to nest's
-    representative; relabelings act freely, so there is one."""
-    relabel, rep = factor_tables()[1], board_numbers()[nest.representative.values]
+def _s4_correction(k: int, rep: int) -> Perm:
+    """The relabeling whose board image sends board k to board rep;
+    relabelings act freely, so there is one."""
+    relabel = factor_tables()[1]
     return next(p for p, moved in zip(relabel.elements, relabel.images) if moved[k] == rep)
 
 
@@ -215,7 +233,7 @@ def s4_nest_graph(gens: Iterable) -> NestGraph:
     Each edge records the relabeling needed to return the moved
     representative to canonical form.
     """
-    return _nest_graph(gens, 16, s4_nests(), SymmetryElement.from_position, _s4_correction)
+    return _nest_graph(gens, 16, s4_nests, SymmetryElement.from_position, _s4_correction)
 
 
 def h4_nest_graph(gens: Iterable) -> NestGraph:
@@ -225,7 +243,7 @@ def h4_nest_graph(gens: Iterable) -> NestGraph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 4, h4_nests(), SymmetryElement.from_relabeling, lambda k, _: _h4_transform(k)
+        gens, 4, h4_nests, SymmetryElement.from_relabeling, lambda k, _: _h4_transform(k)
     )
 
 
@@ -236,21 +254,21 @@ def completeness_via_nests(gens: Iterable) -> bool:
     value nests (testing <gens> x all-relabelings); degree-4 generators
     act on the position nests (testing all-position-symmetries x <gens>).
     True iff the graph has exactly two components whose member unions are
-    the Type 1 and Type 2 classes.
+    the Type 1 and Type 2 classes, compared in board numbers.
     """
     gens = list(gens)
     if not gens:
         return False
     degrees = {g.degree if isinstance(g, Perm) else g[1].degree for g in gens}
     if degrees == {16}:
-        graph = s4_nest_graph(gens)
+        graph, factor_nests = s4_nest_graph(gens), s4_nests
     elif degrees == {4}:
-        graph = h4_nest_graph(gens)
+        graph, factor_nests = h4_nest_graph(gens), h4_nests
     else:
         raise ValueError("generators must be all degree 16 or all degree 4")
+    members = _nest_numbers(factor_nests)[2]
+    index = {label: i for i, label in enumerate(graph.nodes)}  # the nodes are in nest order
     unions = {
-        frozenset(b for label in comp for b in graph.nest(label).members)
-        for comp in graph.components()
+        frozenset().union(*(members[index[label]] for label in comp)) for comp in graph.components()
     }
-    full = {frozenset(block) for block in full_partition().blocks}
-    return unions == full
+    return unions == set(map(frozenset, full_partition().numbers))

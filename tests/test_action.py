@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from shidoku.board import Board, enumerate_all, validate
-from shidoku.perm import Perm, SymmetryElement, _cells, gen_r, gen_s, gen_t, relabeling
+from shidoku.perm import Perm, SymmetryElement, _cells, apply_batch, gen_r, gen_s, gen_t, relabeling
 from shidoku.group import (
     direct_product,
     generate,
@@ -92,6 +92,30 @@ def test_apply_values_stays_right_past_the_cell_gather_bound():
         assert apply_values(e, values) == oracle_apply(e, values)
     info = _cells.cache_info()
     assert info.currsize <= info.maxsize < 300
+
+
+def test_apply_batch_is_apply_values_board_by_board():
+    rng = random.Random(21)
+    values = [b.values for b in enumerate_all()]
+    for e in [SymmetryElement.identity(), *rng.sample(full_group().sorted_elements(), 12)]:
+        moved = apply_batch(e, values)
+        assert moved == [apply_values(e, v) for v in values]
+        assert moved == [oracle_apply(e, v) for v in values]
+    assert apply_batch(SymmetryElement.from_position(gen_t()), []) == []
+
+
+@pytest.mark.parametrize("cell, value", [(15, None), (6, 5)], ids=["15-values", "value-5"])
+def test_apply_batch_rejects_a_bad_board_inside_a_batch(cell, value):
+    # the bad board sits between good ones: its error is apply_values's
+    t = SymmetryElement.from_position(gen_t())
+    good = [b.values for b in enumerate_all()[:6]]
+    bad = good[0][:cell] + (() if value is None else (value,) + good[0][cell + 1 :])
+    with pytest.raises(ValueError) as one:
+        apply_values(t, bad)
+    with pytest.raises(ValueError) as batch:
+        apply_batch(t, good[:3] + [bad] + good[3:])
+    assert str(batch.value) == str(one.value)
+    assert "\n" not in str(one.value)
 
 
 def test_orbits_full_group():

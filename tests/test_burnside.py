@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from shidoku.board import Board, enumerate_all
+from shidoku import verify
+from shidoku.board import REGIONS, Board, enumerate_all
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, relabeling
 from shidoku.group import (
     SymmetryGroup,
@@ -19,6 +20,7 @@ from shidoku.group import (
 )
 from shidoku.action import apply
 from shidoku.burnside import (
+    _fixed_cells,
     _fixed_count,
     _fixing_rules,
     burnside_orbit_count,
@@ -233,6 +235,24 @@ def test_fixing_rules_hold_on_examples():
 )
 def test_fixing_rules_reject_a_pair_breaking_one_rule(x, b, sigma):
     assert not _fixing_rules(x, b, sigma)
+
+
+def test_fixed_cells_match_a_scan_of_every_position_symmetry():
+    flags = set()
+    for x in (e.pos for e in position_group().sorted_elements()):
+        cells = tuple(i - 1 for i in range(1, 17) if x(i) == i)
+        covers = any(all(x(i) == i for i in region) for region in REGIONS)
+        assert _fixed_cells(x) == (cells, covers)
+        flags.add(covers)
+    assert flags == {False, True}  # s fixes rows 1 and 2, r fixes no cell
+
+
+def test_fixed_cells_memo_holds_a_cold_verify():
+    # the memo is keyed by x alone: at most one entry per position symmetry
+    _fixed_cells.cache_clear()
+    assert verify.run_checks(lambda line: None)
+    info = _fixed_cells.cache_info()
+    assert 0 < info.currsize == info.misses <= info.maxsize == 128
 
 
 def test_fixing_rules_require_invariance():

@@ -1,7 +1,9 @@
 """Property-based tests over randomly sampled permutations, group
 elements, and boards."""
 
+import random
 from collections import Counter
+from itertools import combinations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +22,8 @@ from shidoku.group import (
 )
 from shidoku.action import apply, full_partition, is_complete, orbits
 from shidoku.burnside import burnside_orbit_count, relabel_recovery
-from shidoku.nests import h4_canonicalize, s4_canonicalize
+from shidoku.nests import completeness_via_nests, h4_canonicalize, s4_canonicalize, s4_nest_graph
+from shidoku.search import default_position_pool
 from helpers import oracle_apply, oracle_product, oracle_recoveries
 
 BOARDS = enumerate_all()
@@ -145,3 +148,18 @@ def test_verdicts_are_invariant_under_conjugation(gens, c):
     assert burnside_orbit_count(h) == burnside_orbit_count(g) == orbits(g).block_count
     moved = {frozenset(Board(oracle_apply(c, b.values)) for b in block) for block in orbits(g).blocks}
     assert {frozenset(block) for block in orbits(h).blocks} == moved
+
+
+def test_nest_graph_verdicts_are_invariant_under_conjugation():
+    # <P> x S4 and c<P>c^-1 x S4 are conjugate in H4 x S4, so they have as
+    # many orbits: the S4 nest graphs have as many components and give
+    # the same completeness verdict, for every subset P of the pool
+    pool = [p for _, p in default_position_pool()]
+    for c in (e.pos for e in random.Random(10).sample(POSITION_ELEMENTS, 3)):
+        c_inverse = c.inverse()
+        for size in range(len(pool) + 1):
+            for subset in combinations(pool, size):
+                conjugated = [c * p * c_inverse for p in subset]
+                want = s4_nest_graph(subset).component_count
+                assert s4_nest_graph(conjugated).component_count == want
+                assert completeness_via_nests(conjugated) == completeness_via_nests(subset)

@@ -3,8 +3,9 @@ answers from apply and from SymmetryElement products; these tests break
 the undo rows, the fixing rules, the action or the product in one way
 each and check that the check still catches it.
 
-Each action fault is patched into both the action module and the verify
-module, so it reaches every apply path the check may take.
+Each action fault is written for one board and patched into both the
+action module and the verify module, and verify's batch kernel applies
+it board by board, so it reaches every apply path the check may take.
 """
 
 import re
@@ -64,6 +65,7 @@ def test_fixing_rules_rejecting_one_pair_fail(monkeypatch):
 def patch_action(monkeypatch, faulty):
     monkeypatch.setattr(action, "apply_values", faulty)
     monkeypatch.setattr(verify, "apply_values", faulty)
+    monkeypatch.setattr(verify, "apply_batch", lambda e, batch: [faulty(e, v) for v in batch])
 
 
 def test_renaming_by_the_inverse_relabeling_fails(monkeypatch):
