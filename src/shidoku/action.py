@@ -4,15 +4,22 @@ A symmetry element (x, rel) sends board B to the board whose cell x(i)
 holds rel(B[i]): cells move first, values are renamed second.  With the
 right-factor-first composition convention this is a left action:
 apply(a * b, board) == apply(a, apply(b, board)).
+
+Orbits are labeled on a quotient.  The relabel-only kernel
+K = {sigma : (1, sigma) in G} is normal in G, and relabelings act freely,
+so the K-orbits are blocks of |K| boards each (for K = S4, the 12 value
+nests) and G's orbits are the components of its generators acting on
+those blocks; generators in K fix every block and are skipped.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import itemgetter
 from typing import Hashable, Iterable, NamedTuple
 
 from .board import Board, board_numbers, enumerate_all
-from .group import SymmetryGroup, element_number, factor_tables, full_group, image
+from .group import RELABELINGS, SymmetryGroup, element_number, factor_tables, full_group, image
 from .perm import Perm, SymmetryElement, apply_values, perm_label, standard_name
 from .unionfind import components, graph_components
 
@@ -68,22 +75,74 @@ class OrbitPartition(NamedTuple):
         return [n in block for block in self.numbers].index(True)
 
 
+_RELABEL_ONLY = frozenset(range(RELABELINGS))
+
+
+@lru_cache(maxsize=None)  # keyed by a subgroup of S4, of which there are 30
+def _kernel_blocks(kernel: frozenset[int]) -> tuple[tuple[int, ...], int, itemgetter]:
+    """The orbits of the relabel-only kernel, given by its relabelings'
+    numbers, numbered by smallest board: each board's orbit index, the
+    orbit count, and a gather of the orbits' smallest boards.
+    Relabelings act freely, so board k's orbit is the kernel's |K|
+    images of k."""
+    images = [factor_tables()[1].images[r] for r in kernel]
+    label, smallest = [-1] * len(images[0]), []
+    for k, index in enumerate(label):
+        if index < 0:
+            for m in {image[k] for image in images}:
+                label[m] = len(smallest)
+            smallest.append(k)
+    return tuple(label), len(smallest), itemgetter(*smallest)
+
+
 @lru_cache(maxsize=1)
-def _board_blocks(generators: tuple[SymmetryElement, ...]) -> tuple[tuple[int, ...], ...]:
-    """The orbits, in board numbers, of the group the generators
-    generate: the components of their board images (group.image);
-    SymmetryGroup checks that a hand-built group's generators generate
-    it.  The last generators' blocks are kept, for is_complete right
-    after orbits; keyed by the generators, not the group, the cache does
-    not keep the group's number set alive."""
-    blocks = components(len(enumerate_all()), [image(element_number(e)) for e in generators])
-    return tuple(map(tuple, blocks))
+def _quotient_blocks(
+    generators: tuple[SymmetryElement, ...], kernel: frozenset[int]
+) -> tuple[list[list[int]], tuple[int, ...] | None]:
+    """The components of the generators on the kernel's blocks, sorted by
+    smallest board, and each board's block; None when the kernel is
+    trivial, as the blocks are then the boards.  Generators with no
+    position part lie in the kernel and are skipped.  The last
+    generators' components are kept, for is_complete right after orbits;
+    keyed by the generators, not the group, the cache does not keep the
+    group's number set alive."""
+    numbers = [n for n in map(element_number, generators) if n >= RELABELINGS]
+    if len(kernel) == 1:
+        return components(len(enumerate_all()), [image(n) for n in numbers]), None
+    label, count, smallest = _kernel_blocks(kernel)
+    position, relabel = factor_tables()
+    maps = [
+        itemgetter(*itemgetter(*smallest(position.images[p]))(relabel.images[r]))(label)
+        for p, r in (divmod(n, RELABELINGS) for n in numbers)
+    ]
+    return components(count, maps), label
+
+
+def _quotient(g: SymmetryGroup) -> tuple[list[list[int]], tuple[int, ...] | None]:
+    return _quotient_blocks(g.generators, g.numbers & _RELABEL_ONLY)
 
 
 def orbits(g: SymmetryGroup) -> OrbitPartition:
-    """Orbit partition of the 288 boards under g; board numbers sort as
-    the boards do, so the blocks come out sorted."""
-    return OrbitPartition(_board_blocks(g.generators))
+    """Orbit partition of the 288 boards under g: the components of g's
+    generators on the relabel-kernel blocks, each expanded into its
+    boards in one pass over the boards, so the orbits come out sorted."""
+    quotient, label = _quotient(g)
+    if label is None:
+        return OrbitPartition(tuple(map(tuple, quotient)))
+    component_of = [0] * sum(map(len, quotient))
+    for c, component in enumerate(quotient):
+        for i in component:
+            component_of[i] = c
+    blocks = [[] for _ in quotient]
+    for k, c in enumerate(itemgetter(*label)(component_of)):
+        blocks[c].append(k)
+    return OrbitPartition(tuple(map(tuple, blocks)))
+
+
+def orbit_count(g: SymmetryGroup) -> int:
+    """The number of g's orbits, counted on the relabel-kernel blocks
+    without expanding them into boards."""
+    return len(_quotient(g)[0])
 
 
 @lru_cache(maxsize=1)
@@ -95,11 +154,11 @@ def full_partition() -> OrbitPartition:
 def is_complete(g: SymmetryGroup) -> bool:
     """True iff g's orbits equal the full group's.  A complete g is
     transitive on each full orbit, so every full orbit size divides |g|;
-    only then are g's orbits labeled: they refine the full group's and
+    only then are g's orbits counted: they refine the full group's and
     equal them iff as many."""
     full = full_partition()
     divides = all(g.order % size == 0 for size in full.sizes())
-    return divides and len(_board_blocks(g.generators)) == full.block_count
+    return divides and orbit_count(g) == full.block_count
 
 
 class Edge(NamedTuple):

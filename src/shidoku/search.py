@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .group import direct_product, generate_position, generate_relabel
 from .perm import RELABEL_GENERATOR_NAMES, Perm, relabeling, standard_position_generators
-from .action import full_partition, orbits
+from .action import full_partition, is_complete, orbit_count
 
 NamedPerm = tuple[str, Perm]
 
@@ -70,7 +70,9 @@ def search_products(
     relabel_pool: tuple[NamedPerm, ...] | None = None,
 ) -> tuple[SearchResult, ...]:
     """Evaluate every (position subset, relabel subset) pair as a direct
-    product.
+    product.  Each distinct product is built once; its orbits are counted
+    on the relabel-kernel quotient (orbit_count), and is_complete reads
+    the same labeling, so no partition of the boards is built.
 
     Results are deduplicated by the underlying element sets (the first,
     smallest generating subsets win) and sorted by (order, label).
@@ -98,7 +100,6 @@ def search_products(
                 continue
             seen.add(key)
             product = direct_product(pos_group, rel_group)
-            blocks = orbits(product)
             results.append(
                 SearchResult(
                     position_names=tuple(name for name, _ in pos_subset),
@@ -106,8 +107,8 @@ def search_products(
                     position_gens=tuple(p for _, p in pos_subset),
                     relabel_gens=tuple(p for _, p in rel_subset),
                     order=product.order,
-                    orbit_count=blocks.block_count,
-                    complete=blocks == full_partition(),
+                    orbit_count=orbit_count(product),
+                    complete=is_complete(product),
                 )
             )
     return tuple(sorted(results, key=lambda res: (res.order, res.label)))

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from shidoku.board import Board, enumerate_all, validate
+from shidoku.board import Board, board_numbers, enumerate_all, validate
 from shidoku.perm import Perm, SymmetryElement, _cells, apply_batch, gen_r, gen_s, gen_t, relabeling
 from shidoku.group import (
     direct_product,
@@ -25,10 +25,12 @@ from shidoku.action import (
     is_complete,
     is_position_symmetry,
     named_generators,
+    orbit_count,
     orbit_graph,
     orbits,
 )
-from shidoku.search import default_position_pool, default_relabel_pool
+from shidoku.nests import s4_nests
+from shidoku.search import default_position_pool, default_relabel_pool, search_products
 from shidoku.unionfind import components
 from helpers import (
     TYPE1_TEXT,
@@ -160,21 +162,75 @@ def test_orbits_match_bfs_oracle():
     assert got == want
 
 
+POSITION_H4 = (gen_r(), gen_s(), gen_t())
+#: Generators of a subgroup of S4 of each order; order 4 twice, cyclic and Klein.
+KERNELS = {
+    "1": (),
+    "2": ("(1 2)",),
+    "3": ("(1 2 3)",),
+    "4 cyclic": ("(1 2 3 4)",),
+    "4 Klein": ("(1 2)(3 4)", "(1 3)(2 4)"),
+    "6": ("(1 2)", "(1 2 3)"),
+    "8": ("(1 2 3 4)", "(1 3)"),
+    "12": ("(1 2 3)", "(1 2)(3 4)"),
+    "24": ("(1 2)", "(2 3)", "(3 4)"),
+}
+
+
+def relabel_kernel(g):
+    return frozenset(n for n in g.numbers if n < 24)
+
+
+def assert_orbits_match_oracle(g, full_blocks):
+    want = oracle_orbits(g.generators)
+    part = orbits(g)
+    assert list(part.blocks) == sorted(tuple(sorted(block)) for block in want)
+    action._quotient_blocks.cache_clear()
+    assert orbit_count(g) == part.block_count
+    action._quotient_blocks.cache_clear()
+    assert is_complete(g) == (want == full_blocks)
+
+
 def test_orbits_and_is_complete_match_oracle_on_seeded_mixed_groups():
-    # the query shape: groups generated by 1 or 2 random elements of H4 x S4
+    # the query shape: groups generated by 1 or 2 random elements of H4 x S4,
+    # most of them not products, many with a nontrivial relabel-only kernel
     full_blocks = oracle_orbits(full_generators())
     elements = full_group().sorted_elements()
     rng = random.Random(7)
     verdicts = set()
     for _ in range(40):
-        gens = rng.sample(elements, rng.choice((1, 2)))
-        g = generate(gens)
-        want = oracle_orbits(gens)
-        assert list(orbits(g).blocks) == sorted(tuple(sorted(block)) for block in want)
-        complete = is_complete(g)
-        assert complete == (want == full_blocks)
-        verdicts.add(complete)
-    assert verdicts == {True, False}
+        g = generate(rng.sample(elements, rng.choice((1, 2))))
+        assert_orbits_match_oracle(g, full_blocks)
+        verdicts.add((len(relabel_kernel(g)), is_complete(g)))
+    assert {order for order, _ in verdicts} == {1, 2, 3, 12}
+    assert {complete for _, complete in verdicts} == {True, False}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+def test_quotient_orbits_match_oracle_on_products_of_every_kernel_order(kernel):
+    full_blocks = oracle_orbits(full_generators())
+    rel = generate_relabel([relabeling(c) for c in KERNELS[kernel]])
+    assert rel.order == int(kernel.split()[0])
+    for position_gens in [(), (gen_r(),), (gen_s(), gen_t()), (gen_r(), gen_t()), POSITION_H4]:
+        g = direct_product(generate_position(position_gens), rel)
+        assert relabel_kernel(g) == rel.numbers
+        assert_orbits_match_oracle(g, full_blocks)
+
+
+@pytest.mark.parametrize("kernel", [name for name in KERNELS if name != "1"])
+def test_kernel_blocks_are_the_kernel_orbits(kernel):
+    rel = generate_relabel([relabeling(c) for c in KERNELS[kernel]])
+    label, count, smallest = action._kernel_blocks(rel.numbers)
+    blocks = [[k for k, i in enumerate(label) if i == c] for c in range(count)]
+    assert count * rel.order == 288 and all(len(block) == rel.order for block in blocks)
+    # numbered by smallest board, which the gather reads
+    firsts = [block[0] for block in blocks]
+    assert firsts == sorted(firsts) and list(smallest(range(288))) == firsts
+    numbers = board_numbers()
+    want = {frozenset(numbers[b.values] for b in block) for block in oracle_orbits(rel.generators)}
+    assert set(map(frozenset, blocks)) == want
+    if rel.order == 24:
+        assert want == {frozenset(numbers[b.values] for b in n.members) for n in s4_nests()}
 
 
 def test_orbit_partition_holds_board_numbers():
@@ -232,7 +288,7 @@ def test_is_complete_after_orbits_labels_the_orbits_once(monkeypatch):
         return components(size, maps)
 
     monkeypatch.setattr(action, "components", counted)
-    action._board_blocks.cache_clear()
+    action._quotient_blocks.cache_clear()
     g = named_group("stxS4")
     part = orbits(g)
     assert is_complete(g) and is_complete(named_group("stxS4"))
@@ -242,6 +298,10 @@ def test_is_complete_after_orbits_labels_the_orbits_once(monkeypatch):
     # a different group is labeled anew
     assert not is_complete(named_group("rtxS4"))
     assert len(calls) == 2
+    # search counts each distinct product's orbits and judges it with one labeling
+    calls.clear()
+    results = search_products()
+    assert len(calls) == len(results)
 
 
 def test_is_complete():
