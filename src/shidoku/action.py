@@ -6,10 +6,11 @@ right-factor-first composition convention this is a left action:
 apply(a * b, board) == apply(a, apply(b, board)).
 
 Orbits are labeled on a quotient.  The relabel-only kernel
-K = {sigma : (1, sigma) in G} is normal in G, and relabelings act freely,
-so the K-orbits are blocks of |K| boards each (for K = S4, the 12 value
-nests) and G's orbits are the components of its generators acting on
-those blocks; generators in K fix every block and are skipped.
+K = {sigma : (1, sigma) in G}, which G keeps from its closure, is normal
+in G, and relabelings act freely, so the K-orbits are blocks of |K|
+boards each (for K = S4, the 12 value nests) and G's orbits are the
+components of its generators acting on those blocks; generators in K fix
+every block and are skipped.
 """
 
 from __future__ import annotations
@@ -75,9 +76,6 @@ class OrbitPartition(NamedTuple):
         return [n in block for block in self.numbers].index(True)
 
 
-_RELABEL_ONLY = frozenset(range(RELABELINGS))
-
-
 @lru_cache(maxsize=None)  # keyed by a subgroup of S4, of which there are 30
 def _kernel_blocks(kernel: frozenset[int]) -> tuple[tuple[int, ...], int, itemgetter]:
     """The orbits of the relabel-only kernel, given by its relabelings'
@@ -104,8 +102,8 @@ def _quotient_blocks(
     trivial, as the blocks are then the boards.  Generators with no
     position part lie in the kernel and are skipped.  The last
     generators' components are kept, for is_complete right after orbits;
-    keyed by the generators, not the group, the cache does not keep the
-    group's number set alive."""
+    keyed by the generators and kernel, not the group, the cache does not
+    keep the group alive."""
     numbers = [n for n in map(element_number, generators) if n >= RELABELINGS]
     if len(kernel) == 1:
         return components(len(enumerate_all()), [image(n) for n in numbers]), None
@@ -119,7 +117,7 @@ def _quotient_blocks(
 
 
 def _quotient(g: SymmetryGroup) -> tuple[list[list[int]], tuple[int, ...] | None]:
-    return _quotient_blocks(g.generators, g.numbers & _RELABEL_ONLY)
+    return _quotient_blocks(g.generators, g.kernel)
 
 
 def orbits(g: SymmetryGroup) -> OrbitPartition:

@@ -13,6 +13,7 @@ file (`generators:` header, then `pos=<cycles>; rel=<cycles>` lines).
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 from typing import Iterable
@@ -67,14 +68,12 @@ def resolve_group(spec: str) -> SymmetryGroup:
 
 
 def _parse_relabel_token(token: str) -> tuple[str, Perm]:
-    """Relabeling cycle token, with its label; digits may be packed, e.g. '(123)' == '(1 2 3)'."""
+    """Relabeling cycle token, with its label; digits may be packed, e.g. '(123)' == '(1 2 3)'.
+    Only a token of whole packed cycles is unpacked: any other goes to
+    Perm.from_cycles as given, which rejects malformed notation."""
     text = token.strip()
-    if "(" in text and " " not in text:
-        text = text.replace(")(", ") (")
-        text = "".join(
-            "(" + " ".join(part) + ")"
-            for part in text.replace("(", " ").replace(")", " ").split()
-        )
+    if re.fullmatch(r"(\(\d*\))+", text):
+        text = "".join("(" + " ".join(part) + ")" for part in re.findall(r"\((\d*)\)", text))
     try:
         perm = Perm.from_cycles(text, 4)
     except ValueError as exc:

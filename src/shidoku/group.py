@@ -12,8 +12,12 @@ n does, and the other two read the factors' board images, each gathered
 in C from a generator's or its parent's.
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
-A hand-built SymmetryGroup must be generated by its generators or, if
-given none, by its elements: anything else raises ValueError.
+A group keeps that closure, a relabel part over each position part and
+the kernel; order, the factor tests, direct products and the action's
+orbit quotient read it, and the element numbers are built only when
+read, once per group.  A hand-built SymmetryGroup must be generated by
+its generators or, if given none, by its elements: anything else raises
+ValueError.
 """
 
 from __future__ import annotations
@@ -129,12 +133,13 @@ def _inverse(a: int) -> int:
     return position.products[p].index(0) * RELABELINGS + relabel.products[r].index(0)
 
 
-def _closure(gens: Iterable[int]) -> frozenset[int]:
-    """The numbers of the group G that element numbers gens generate, by
-    breadth-first search over position parts p, one relabel part
-    section[p] over each: reaching a seen p with relabel part t gives
+def _closure(gens: Iterable[int]) -> tuple[dict[int, int], frozenset[int]]:
+    """The group G that element numbers gens generate, as (section, K):
+    breadth-first search over position parts p gives G's position
+    projection, the keys of section, with one relabel part section[p]
+    over each; reaching a seen p with relabel part t gives
     section[p]^-1 t, a Schreier generator of K = {sigma : (1, sigma) in G},
-    and G is every (p, section[p] * k), k in K closed in the 24 x 24 table."""
+    closed in the 24 x 24 table.  G is every (p, section[p] * k), k in K."""
     position, relabel = (table.products for table in factor_tables())
     rows = [(position[p], relabel[r]) for p, r in (divmod(g, RELABELINGS) for g in gens)]
     section, queue, schreier = {0: 0}, [0], set()
@@ -149,14 +154,23 @@ def _closure(gens: Iterable[int]) -> frozenset[int]:
     kernel = [0]
     for k in kernel:
         kernel += {relabel[s][k] for s in schreier}.difference(kernel)
+    return section, frozenset(kernel)
+
+
+def _numbers(section: dict[int, int], kernel: frozenset[int]) -> frozenset[int]:
+    """The element numbers of the group with this closure."""
+    relabel = factor_tables()[1].products
     return frozenset(
         [p * RELABELINGS + relabel[u][k] for p, u in section.items() for k in kernel]
     )
 
 
 class SymmetryGroup:
-    """A subgroup of H4 x S4, stored as its element numbers, remembering
-    the generators it was built from.
+    """A subgroup G of H4 x S4, stored as its closure and the generators
+    it was built from: section maps each position part p of G to one
+    relabel part over it, and kernel is K = {sigma : (1, sigma) in G}, so
+    G is every (p, section[p] * k), k in K.  Its element numbers are
+    built from these the first time they are read.
 
     Built by hand, it raises ValueError unless the generators generate
     exactly the given elements; with no generators given, its sorted
@@ -164,29 +178,36 @@ class SymmetryGroup:
     generate and direct_product skip that check.
     """
 
-    __slots__ = ("numbers", "generators")
+    __slots__ = ("section", "kernel", "generators", "_numbers")
 
     def __init__(self, elements: Iterable[SymmetryElement], generators: Iterable[SymmetryElement]):
-        self.numbers = frozenset(map(element_number, elements))
-        self.generators = tuple(generators) or tuple(map(element, sorted(self.numbers)))
-        reached = _closure(map(element_number, self.generators))
-        if reached != self.numbers:
+        numbers = frozenset(map(element_number, elements))
+        self.generators = tuple(generators) or tuple(map(element, sorted(numbers)))
+        self.section, self.kernel = _closure(map(element_number, self.generators))
+        self._numbers = _numbers(self.section, self.kernel)
+        if self._numbers != numbers:
             raise ValueError(
-                f"generators generate {len(reached)} elements, not the {len(self.numbers)} given"
+                f"generators generate {len(self._numbers)} elements, not the {len(numbers)} given"
             )
 
     @classmethod
     def _trusted(
-        cls, numbers: frozenset[int], generators: tuple[SymmetryElement, ...]
+        cls, section: dict[int, int], kernel: frozenset[int], generators: tuple[SymmetryElement, ...]
     ) -> "SymmetryGroup":
         """Unchecked group, for closures and products."""
         g = object.__new__(cls)
-        g.numbers, g.generators = numbers, generators
+        g.section, g.kernel, g.generators, g._numbers = section, kernel, generators, None
         return g
 
     @property
+    def numbers(self) -> frozenset[int]:
+        if self._numbers is None:
+            self._numbers = _numbers(self.section, self.kernel)
+        return self._numbers
+
+    @property
     def order(self) -> int:
-        return len(self.numbers)
+        return len(self.section) * len(self.kernel)
 
     @property
     def elements(self) -> frozenset[SymmetryElement]:
@@ -199,10 +220,10 @@ class SymmetryGroup:
         return [element(n) for n in sorted(self.numbers)]
 
     def is_position_only(self) -> bool:
-        return all(n % RELABELINGS == 0 for n in self.numbers)
+        return self.kernel == {0} and not any(self.section.values())
 
     def is_relabel_only(self) -> bool:
-        return all(n < RELABELINGS for n in self.numbers)
+        return self.section == {0: 0}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymmetryGroup):
@@ -217,7 +238,7 @@ def generate(gens: Iterable[SymmetryElement]) -> SymmetryGroup:
     """Closure of the generators under composition.  Raises ValueError,
     as element_number does, on a generator outside H4 x S4."""
     gens = tuple(gens)
-    return SymmetryGroup._trusted(_closure(map(element_number, gens)), gens)
+    return SymmetryGroup._trusted(*_closure(map(element_number, gens)), gens)
 
 
 def generate_position(perms: Iterable[Perm]) -> SymmetryGroup:
@@ -237,16 +258,17 @@ def trivial_group() -> SymmetryGroup:
 def direct_product(h: SymmetryGroup, s: SymmetryGroup) -> SymmetryGroup:
     """Product of a position-only group and a relabel-only group.
 
-    Elements are all (pos, rel) pairs; order is |h| * |s|.  Mixed-factor
+    Elements are all (pos, rel) pairs; order is |h| * |s|.  Its closure
+    is read off the factors': h's position parts, each with the identity
+    relabeling over it, and s's relabelings as the kernel.  Mixed-factor
     inputs are rejected.
     """
     if not h.is_position_only():
         raise ValueError("left factor must contain only position-only elements")
     if not s.is_relabel_only():
         raise ValueError("right factor must contain only relabel-only elements")
-    # (x, id) numbers x * RELABELINGS and (id, sigma) numbers sigma
-    numbers = frozenset(x + sigma for x in h.numbers for sigma in s.numbers)
-    return SymmetryGroup._trusted(numbers, h.generators + s.generators)
+    generators = h.generators + s.generators
+    return SymmetryGroup._trusted(dict.fromkeys(h.section, 0), s.kernel, generators)
 
 
 class ConjugacyClass(NamedTuple):

@@ -74,8 +74,9 @@ def search_products(
     on the relabel-kernel quotient (orbit_count), and is_complete reads
     the same labeling, so no partition of the boards is built.
 
-    Results are deduplicated by the underlying element sets (the first,
-    smallest generating subsets win) and sorted by (order, label).
+    Results are deduplicated by the underlying element sets, which the
+    factors' position parts and relabel kernel determine (the first,
+    smallest generating subsets win), and sorted by (order, label).
     """
     if position_pool is None:
         position_pool = default_position_pool()
@@ -94,8 +95,9 @@ def search_products(
     seen: set[tuple[frozenset[int], frozenset[int]]] = set()
     results: list[SearchResult] = []
     for pos_subset, pos_group in position_groups:
+        positions = frozenset(pos_group.section)
         for rel_subset, rel_group in relabel_groups:
-            key = (pos_group.numbers, rel_group.numbers)
+            key = (positions, rel_group.kernel)
             if key in seen:
                 continue
             seen.add(key)

@@ -6,6 +6,7 @@ from shidoku import verify
 from shidoku.board import REGIONS, Board, enumerate_all
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, relabeling
 from shidoku.group import (
+    RELABELINGS,
     SymmetryGroup,
     conjugacy_classes,
     element,
@@ -154,8 +155,11 @@ def test_burnside_rejects_non_groups():
     ]
     with pytest.raises(ValueError, match="generators generate 64 elements, not the 5 given"):
         SymmetryGroup(elements, ())
-    # built unchecked, the non-group reaches burnside's divisibility guard
-    fake = SymmetryGroup._trusted(frozenset(map(element_number, elements)), ())
+    # built unchecked from the five position parts, each over the identity
+    # relabeling, the non-group reaches burnside's divisibility guard
+    section = dict.fromkeys((element_number(e) // RELABELINGS for e in elements), 0)
+    fake = SymmetryGroup._trusted(section, frozenset({0}), ())
+    assert fake.numbers == frozenset(map(element_number, elements))
     with pytest.raises(ValueError, match="not divisible by group order 5"):
         burnside_orbit_count(fake)
 

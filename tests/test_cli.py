@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from shidoku import cli
 from shidoku.group import GROUP_SHORTHANDS, position_group, relabel_group
 from shidoku.nests import h4_nest_graph, s4_nest_graph
-from shidoku.perm import gen_r, gen_s, gen_t, relabeling
+from shidoku.perm import Perm, gen_r, gen_s, gen_t, relabeling
 from helpers import dot_component_count, parse_dot
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -276,6 +276,22 @@ def test_bad_relabel_token(capsys):
     code, _, err = run(capsys, "nest-graph", "--factor", "h4", "--gens", "(15)")
     assert code == 2
     assert "bad relabeling token" in err
+
+
+@pytest.mark.parametrize("token", ["(12", "((12))", "(12)(", "(1"])
+def test_malformed_packed_relabel_token(capsys, token):
+    # none is unpacked into a cycle: each reaches from_cycles as typed
+    code, out, err = run(capsys, "nest-graph", "--factor", "h4", "--gens", token)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: bad relabeling token {token!r}: malformed cycle notation: {token!r}\n"
+
+
+@pytest.mark.parametrize(
+    "token, cycles", [("(123)", "(1 2 3)"), ("(12)(34)", "(1 2)(3 4)"), ("()", ""), ("(1 2)", "(1 2)")]
+)
+def test_packed_relabel_tokens_parse(token, cycles):
+    assert cli._parse_relabel_token(token)[1] == Perm.from_cycles(cycles, 4)
 
 
 def test_usage_error_exit_code(capsys):

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from shidoku.action import apply_values
+from shidoku import group as group_module
+from shidoku import search
+from shidoku.action import apply_values, is_complete, orbit_count, orbits
 from shidoku.board import Board, board_numbers, enumerate_all
 from shidoku.perm import (
     Perm,
@@ -191,6 +193,71 @@ def test_closure_reaches_relabel_only_elements_through_mixed_generators(gens):
     # |G| = |position projection| * |relabel-only kernel|
     assert got.order == len(position_parts(got)) * len(kernel)
     assert len(position_parts(got)) == len({e.pos for e in want})
+
+
+def _evaluated_products(monkeypatch) -> list[tuple[SymmetryGroup, SymmetryGroup, SymmetryGroup]]:
+    """(position factor, relabel factor, product) for every direct product
+    search_products() builds, in order."""
+    made = []
+
+    def recording(h, s):
+        made.append((h, s, direct_product(h, s)))
+        return made[-1][2]
+
+    monkeypatch.setattr(search, "direct_product", recording)
+    search.search_products()
+    monkeypatch.undo()
+    return made
+
+
+def test_closure_facts_match_the_number_set(monkeypatch):
+    # order, kernel and the factor tests are read off the stored closure;
+    # each must agree with the element numbers it stands for
+    subsets = [
+        generate(elements([p for _, p in subset]))
+        for pool, elements in (
+            (default_position_pool(), position_elements),
+            (default_relabel_pool(), relabel_elements),
+        )
+        for size in range(len(pool) + 1)
+        for subset in combinations(pool, size)
+    ]
+    products = _evaluated_products(monkeypatch)
+    assert len(subsets) == 48 and len(products) > 48
+    elements = full_group().sorted_elements()
+    rng = random.Random(13)
+    mixed = [generate(rng.sample(elements, rng.choice((1, 2)))) for _ in range(40)]
+    groups = subsets + [product for _, _, product in products] + mixed
+    for g in groups:
+        numbers = g.numbers
+        assert g.order == len(numbers)
+        assert g.kernel == {n for n in numbers if n < 24}
+        assert g.is_position_only() == all(n % 24 == 0 for n in numbers)
+        assert g.is_relabel_only() == all(n < 24 for n in numbers)
+    for h, s, product in products:
+        assert product.numbers == {x + sigma for x in h.numbers for sigma in s.numbers}
+    assert any(not g.is_position_only() and not g.is_relabel_only() for g in mixed)
+
+
+def test_queries_and_search_build_no_number_set(monkeypatch):
+    numbers, builds = group_module._numbers, []
+
+    def counting(section, kernel):
+        builds.append(len(section) * len(kernel))
+        return numbers(section, kernel)
+
+    elements = full_group().sorted_elements()
+    monkeypatch.setattr(group_module, "_numbers", counting)
+    rng = random.Random(14)
+    for _ in range(20):
+        g = generate(rng.sample(elements, rng.choice((1, 2))))
+        orbits(g), orbit_count(g), is_complete(g)
+    search.search_products()
+    assert builds == []
+    first = g.numbers
+    assert builds == [g.order]
+    assert g.numbers is first
+    assert builds == [g.order]
 
 
 def test_hand_built_group_checks_its_generators():
