@@ -20,7 +20,9 @@ from operator import itemgetter
 from typing import Hashable, Iterable, NamedTuple
 
 from .board import Board, board_numbers, enumerate_all
-from .group import RELABELINGS, SymmetryGroup, element_number, factor_tables, full_group, image
+from .group import (
+    RELABELINGS, SymmetryGroup, _kernel_blocks, element_number, factor_tables, full_group, image
+)
 from .perm import Perm, SymmetryElement, apply_values, perm_label, standard_name
 from .unionfind import components, graph_components
 
@@ -76,23 +78,6 @@ class OrbitPartition(NamedTuple):
         return [n in block for block in self.numbers].index(True)
 
 
-@lru_cache(maxsize=None)  # keyed by a subgroup of S4, of which there are 30
-def _kernel_blocks(kernel: frozenset[int]) -> tuple[tuple[int, ...], int, itemgetter]:
-    """The orbits of the relabel-only kernel, given by its relabelings'
-    numbers, numbered by smallest board: each board's orbit index, the
-    orbit count, and a gather of the orbits' smallest boards.
-    Relabelings act freely, so board k's orbit is the kernel's |K|
-    images of k."""
-    images = [factor_tables()[1].images[r] for r in kernel]
-    label, smallest = [-1] * len(images[0]), []
-    for k, index in enumerate(label):
-        if index < 0:
-            for m in {image[k] for image in images}:
-                label[m] = len(smallest)
-            smallest.append(k)
-    return tuple(label), len(smallest), itemgetter(*smallest)
-
-
 @lru_cache(maxsize=1)
 def _quotient_blocks(
     generators: tuple[SymmetryElement, ...], kernel: frozenset[int]
@@ -107,7 +92,7 @@ def _quotient_blocks(
     numbers = [n for n in map(element_number, generators) if n >= RELABELINGS]
     if len(kernel) == 1:
         return components(len(enumerate_all()), [image(n) for n in numbers]), None
-    label, count, smallest = _kernel_blocks(kernel)
+    label, count, smallest, _ = _kernel_blocks(kernel)
     position, relabel = factor_tables()
     maps = [
         itemgetter(*itemgetter(*smallest(position.images[p]))(relabel.images[r]))(label)

@@ -4,7 +4,9 @@ Board k is fixed by (x, sigma) exactly when sigma undoes the cell move
 x on it.  Relabelings act freely on valid boards (the first row carries
 every value), so that sigma is unique when it exists, and undo_row(p)
 names it for position symmetry number p on every board, read off the
-factors' board images (group.factor_tables).  An element's fixed count
+boards' value-nest coordinates (group._kernel_blocks of S4): board k is
+tau_k(b_i), b_i the smallest board of its nest, so x is undone on k iff
+x(k) = m lies in k's nest, by tau_k tau_m^-1.  An element's fixed count
 is how often its row names its relabeling, and x's invariant count how
 many boards its row names any relabeling for; verify's fixing-rules
 check takes its candidate pairs from the same rows.  relabel_recovery
@@ -14,7 +16,8 @@ finds the sigma on one board from its cells.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import add
+from itertools import compress
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from .board import VALUES, Board, REGIONS
@@ -22,6 +25,7 @@ from .group import (
     RELABELINGS,
     ConjugacyClass,
     SymmetryGroup,
+    _kernel_blocks,
     conjugacy_classes,
     element_number,
     factor_tables,
@@ -48,24 +52,17 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
     return Perm._trusted(image) if set(image) == {1, 2, 3, 4} else None
 
 
-@lru_cache(maxsize=1)
-def _senders() -> bytes:
-    """Entry k * 288 + m is 1 + the number of the relabeling that sends
-    board m to board k, or 0 if none does (at most one does)."""
-    senders = bytearray(288 * 288)
-    for r, row in enumerate(factor_tables()[1].images, start=1):
-        for m, k in enumerate(row):
-            senders[k * 288 + m] = r
-    return bytes(senders)
-
-
 @lru_cache(maxsize=128)
 def undo_row(p: int) -> bytes:
     """Entry k is 1 + the number of the relabeling sigma for which
     (x, sigma) fixes board k, x the position symmetry numbered p, or 0
-    if no relabeling undoes x on board k."""
-    moved = factor_tables()[0].images[p]
-    return bytes(map(_senders().__getitem__, map(add, range(0, 288 * 288, 288), moved)))
+    if none does: tau_k tau_m^-1 when x moves board k to m in k's nest."""
+    nest, _, _, tau = _kernel_blocks(frozenset(range(RELABELINGS)))
+    moved, relabel = factor_tables()[0].images[p], factor_tables()[1].products
+    row = bytearray(len(moved))
+    for k in compress(range(len(moved)), map(eq, nest, itemgetter(*moved)(nest))):
+        row[k] = relabel[tau[k]][relabel[tau[moved[k]]].index(0)] + 1
+    return bytes(row)
 
 
 def invariant_count(x: Perm) -> int:

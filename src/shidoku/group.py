@@ -4,12 +4,13 @@ conjugacy classes.
 Every group is a subgroup of H4 x S4 (order 3072), so its elements are
 numbered: position symmetry x and relabeling sigma by their places in
 sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
-as SymmetryElements do.  Only this module, burnside's undo rows (which
-verify's fixing-rules check reads) and the S4 nest-graph aux read the
-numbering: closure, products, conjugacy classes and membership multiply
-numbers through factor_tables(), image(n) moves board numbers as element
-n does, and the other two read the factors' board images, each gathered
-in C from a generator's or its parent's.
+as SymmetryElements do.  Only this module, action's orbit quotient,
+burnside's undo rows and the S4 nest-graph aux read the numbering:
+closure, products, conjugacy classes and membership multiply numbers
+through factor_tables(), image(n) moves board numbers as element n does,
+and the other three read _kernel_blocks(K), each board's orbit under a
+relabel-only kernel K and the relabeling in K taking the orbit's
+smallest board to it; for K = S4, the boards' value-nest coordinates.
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 A group keeps that closure, a relabel part over each position part and
@@ -119,6 +120,25 @@ def image(n: int) -> tuple[int, ...]:
     position, relabel = factor_tables()
     p, r = divmod(n, RELABELINGS)
     return itemgetter(*position.images[p])(relabel.images[r])
+
+
+@lru_cache(maxsize=None)  # keyed by a subgroup of S4, of which there are 30
+def _kernel_blocks(kernel: frozenset[int]) -> tuple[tuple[int, ...], int, itemgetter, tuple[int, ...]]:
+    """The orbits of the relabel-only kernel K, given by its relabelings'
+    numbers, numbered by smallest board: each board's orbit index, the
+    orbit count, a gather of the orbits' smallest boards, and for each
+    board the number of the one relabeling in K taking its orbit's
+    smallest board to it (relabelings act freely).  For K = S4 these
+    are the boards' value-nest coordinates."""
+    images = factor_tables()[1].images
+    label, tau, smallest = [-1] * len(images[0]), [0] * len(images[0]), []
+    for k, index in enumerate(label):
+        if index < 0:
+            for r in kernel:
+                m = images[r][k]
+                label[m], tau[m] = len(smallest), r
+            smallest.append(k)
+    return tuple(label), len(smallest), itemgetter(*smallest), tuple(tau)
 
 
 def _product(a: int, b: int) -> int:

@@ -8,9 +8,9 @@ orbits a-f (in lexicographic order), whose canonical forms have 1s on
 cells 1, 7, 10, 16, the cell-6 value <= the cell-11 value, and the cell-2
 value < the cell-5 value.  The canonicalizers check those forms.  A
 nest-graph edge's aux, back to its nest's representative, is read off
-the relabel board images (S4) or h4_canonicalize_with_transform (H4),
-which runs once per board (_h4_transform).  Nest graphs and
-completeness_via_nests find boards' nests by board number (_nest_numbers).
+the value-nest coordinates (S4, group._kernel_blocks) or off
+h4_canonicalize_with_transform (H4), run once per board (_h4_transform).
+Boards' nests are found by board number (_nest_numbers).
 """
 
 from __future__ import annotations
@@ -20,7 +20,9 @@ from typing import Callable, Iterable, NamedTuple
 
 from .board import Board, block_of, board_numbers, coords, enumerate_all
 from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
-from .group import SymmetryGroup, element_number, factor_tables, image, position_group, relabel_group
+from .group import (
+    SymmetryGroup, _kernel_blocks, element_number, factor_tables, image, position_group, relabel_group
+)
 from .action import Edge, Graph, apply_values, full_partition, orbits, position_apply
 
 #: Canonical representatives of the twelve relabeling-orbits (S4-nests).
@@ -162,11 +164,10 @@ def h4_nests() -> tuple[Nest, ...]:
 
 
 def s4_nest_of(b: Board) -> str:
-    """The label of the value nest holding b."""
-    for n in s4_nests():
-        if b in n.members:
-            return n.label
-    raise ValueError(f"not a valid Shidoku board: {b.text}")
+    """The label of the value nest holding b, found by board number."""
+    if (k := board_numbers().get(b.values)) is None:
+        raise ValueError(f"not a valid Shidoku board: {b.text}")
+    return s4_nests()[_nest_numbers(s4_nests)[0][k]].label
 
 
 def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
@@ -179,18 +180,14 @@ def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
 
 
 @lru_cache(maxsize=2)
-def _nest_numbers(
-    factor_nests: Callable[[], tuple[Nest, ...]],
-) -> tuple[dict[int, int], tuple[int, ...], tuple[frozenset[int], ...]]:
-    """The nests factor_nests() returns, in board numbers: (nest_of, reps,
-    members), where nest_of[k] is the index of the nest holding board k,
-    and reps[i] and members[i] are nest i's representative and members.
-    Built once per factor and keyed by its nests function, as hashing a
-    tuple of Nests hashes every Board."""
+def _nest_numbers(factor_nests: Callable[[], tuple[Nest, ...]]) -> tuple[dict[int, int], tuple[int, ...]]:
+    """The nests factor_nests() returns, in board numbers: (nest_of, reps),
+    where nest_of[k] is the index of the nest holding board k and reps[i]
+    is nest i's representative.  Built once per factor and keyed by its
+    nests function, as hashing a tuple of Nests hashes every Board."""
     numbers, nests = board_numbers(), factor_nests()
-    members = tuple(frozenset(numbers[b.values] for b in n.members) for n in nests)
-    nest_of = {k: i for i, block in enumerate(members) for k in block}
-    return nest_of, tuple(numbers[n.representative.values] for n in nests), members
+    nest_of = {numbers[b.values]: i for i, n in enumerate(nests) for b in n.members}
+    return nest_of, tuple(numbers[n.representative.values] for n in nests)
 
 
 def _nest_graph(
@@ -206,7 +203,7 @@ def _nest_graph(
     k to the board numbered rep, that nest's representative, is the
     edge's aux.  element_number rejects a generator outside H4 x S4."""
     nests = factor_nests()
-    nest_of, reps, _ = _nest_numbers(factor_nests)
+    nest_of, reps = _nest_numbers(factor_nests)
     edges = []
     for name, g in _named(gens, degree):
         directed = not (g * g).is_identity
@@ -221,10 +218,10 @@ def _nest_graph(
 
 
 def _s4_correction(k: int, rep: int) -> Perm:
-    """The relabeling whose board image sends board k to board rep;
-    relabelings act freely, so there is one."""
-    relabel = factor_tables()[1]
-    return next(p for p, moved in zip(relabel.elements, relabel.images) if moved[k] == rep)
+    """The relabeling sending board k to board rep of the same value nest:
+    tau_rep tau_k^-1 in value-nest coordinates (group._kernel_blocks)."""
+    tau, relabel = _kernel_blocks(relabel_group().kernel)[3], factor_tables()[1]
+    return relabel.elements[relabel.products[tau[rep]][relabel.products[tau[k]].index(0)]]
 
 
 def s4_nest_graph(gens: Iterable) -> NestGraph:
@@ -253,8 +250,9 @@ def completeness_via_nests(gens: Iterable) -> bool:
     Degree-16 generators are taken as position generators acting on the
     value nests (testing <gens> x all-relabelings); degree-4 generators
     act on the position nests (testing all-position-symmetries x <gens>).
-    True iff the graph has exactly two components whose member unions are
-    the Type 1 and Type 2 classes, compared in board numbers.
+    True iff the graph has exactly two components whose boards are the
+    Type 1 and Type 2 classes, each a union of whole nests, compared as
+    sets of nests (the nodes are in nest order).
     """
     gens = list(gens)
     if not gens:
@@ -266,9 +264,6 @@ def completeness_via_nests(gens: Iterable) -> bool:
         graph, factor_nests = h4_nest_graph(gens), h4_nests
     else:
         raise ValueError("generators must be all degree 16 or all degree 4")
-    members = _nest_numbers(factor_nests)[2]
-    index = {label: i for i, label in enumerate(graph.nodes)}  # the nodes are in nest order
-    unions = {
-        frozenset().union(*(members[index[label]] for label in comp)) for comp in graph.components()
-    }
-    return unions == set(map(frozenset, full_partition().numbers))
+    nest_of = _nest_numbers(factor_nests)[0]
+    classes = {frozenset(graph.nodes[nest_of[k]] for k in block) for block in full_partition().numbers}
+    return set(map(frozenset, graph.components())) == classes

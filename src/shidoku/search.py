@@ -119,9 +119,9 @@ def search_products(
 def parse_pool_file(text: str, degree: int) -> tuple[NamedPerm, ...]:
     """Parse a generator pool file: one 'name=<cycles>' entry per line.
 
-    Blank lines and '#' comments are ignored.
+    Blank lines and '#' comments are ignored; a name may appear once.
     """
-    pool: list[NamedPerm] = []
+    pool: dict[str, Perm] = {}
     for line in text.split("\n"):
         line = line.strip()
         if not line or line.startswith("#"):
@@ -131,7 +131,9 @@ def parse_pool_file(text: str, degree: int) -> tuple[NamedPerm, ...]:
         name, cycles = (part.strip() for part in line.split("=", 1))
         if not name:
             raise ValueError(f"bad pool line (empty name): {line!r}")
-        pool.append((name, Perm.from_cycles(cycles, degree)))
+        if name in pool:
+            raise ValueError(f"bad pool line (repeated name {name!r}): {line!r}")
+        pool[name] = Perm.from_cycles(cycles, degree)
     if not pool:
         raise ValueError("pool file defines no generators")
-    return tuple(pool)
+    return tuple(pool.items())

@@ -6,7 +6,9 @@ import pytest
 from shidoku.board import Board, board_numbers, enumerate_all, validate
 from shidoku.perm import Perm, SymmetryElement, _cells, apply_batch, gen_r, gen_s, gen_t, relabeling
 from shidoku.group import (
+    _kernel_blocks,
     direct_product,
+    element,
     generate,
     generate_position,
     generate_relabel,
@@ -220,12 +222,17 @@ def test_quotient_orbits_match_oracle_on_products_of_every_kernel_order(kernel):
 @pytest.mark.parametrize("kernel", [name for name in KERNELS if name != "1"])
 def test_kernel_blocks_are_the_kernel_orbits(kernel):
     rel = generate_relabel([relabeling(c) for c in KERNELS[kernel]])
-    label, count, smallest = action._kernel_blocks(rel.numbers)
+    label, count, smallest, tau = _kernel_blocks(rel.numbers)
     blocks = [[k for k, i in enumerate(label) if i == c] for c in range(count)]
     assert count * rel.order == 288 and all(len(block) == rel.order for block in blocks)
     # numbered by smallest board, which the gather reads
     firsts = [block[0] for block in blocks]
     assert firsts == sorted(firsts) and list(smallest(range(288))) == firsts
+    # each board is its recorded relabeling in K of its block's smallest board
+    boards = enumerate_all()
+    for b, i, r in zip(boards, label, tau):
+        assert r in rel.numbers
+        assert oracle_apply(element(r), boards[firsts[i]].values) == b.values
     numbers = board_numbers()
     want = {frozenset(numbers[b.values] for b in block) for block in oracle_orbits(rel.generators)}
     assert set(map(frozenset, blocks)) == want

@@ -20,6 +20,7 @@ from shidoku.group import (
     trivial_group,
 )
 from shidoku.action import apply
+from shidoku.nests import s4_nest_graph
 from shidoku.burnside import (
     _fixed_cells,
     _fixed_count,
@@ -194,6 +195,14 @@ def test_invariant_count_equals_the_recovery_hits_on_every_position_symmetry():
 def test_fixed_counts_match_the_oracle_on_a_seeded_sample():
     for n in random.Random(20).sample(range(3072), 40):
         assert _fixed_count(n) == oracle_fixed_points(element(n))
+
+
+def test_invariant_count_is_24_per_value_nest_mapped_to_itself():
+    # x leaves a board invariant up to relabeling iff it maps the board's
+    # value nest to itself, and then every one of the nest's 24 boards
+    for x in factor_tables()[0].elements:
+        loops = sum(edge.src == edge.dst for edge in s4_nest_graph([x]).edges)
+        assert invariant_count(x) == 24 * loops
 
 
 def test_invariant_count_rejects_a_cell_permutation_outside_h4():

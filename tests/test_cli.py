@@ -232,6 +232,16 @@ def test_bad_pool_file_is_named(tmp_path, capsys):
     assert err == f"error: {pool}: cycle element 5 out of range 1..4\n"
 
 
+def test_pool_file_with_a_repeated_name_is_rejected(tmp_path, capsys):
+    # two generators named a would print two different groups as rel=a
+    pool = tmp_path / "p.txt"
+    pool.write_text("a=(1 2)\na=(2 3)\n")
+    code, out, err = run(capsys, "search", "--relabel-pool", str(pool))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {pool}: bad pool line (repeated name 'a'): 'a=(2 3)'\n"
+
+
 def test_invalid_position_symmetry_in_pool_file(tmp_path, capsys):
     pool = tmp_path / "pool.txt"
     pool.write_text("x=(1 2)\n")
