@@ -10,7 +10,9 @@ K = {sigma : (1, sigma) in G}, which G keeps from its closure, is normal
 in G, and relabelings act freely, so the K-orbits are blocks of |K|
 boards each (for K = S4, the 12 value nests) and G's orbits are the
 components of its generators acting on those blocks; generators in K fix
-every block and are skipped.
+every block and are skipped.  orbits and is_complete label them; an
+orbit count alone is burnside.burnside_orbit_count's, which labels
+nothing.
 """
 
 from __future__ import annotations
@@ -122,12 +124,6 @@ def orbits(g: SymmetryGroup) -> OrbitPartition:
     return OrbitPartition(tuple(map(tuple, blocks)))
 
 
-def orbit_count(g: SymmetryGroup) -> int:
-    """The number of g's orbits, counted on the relabel-kernel blocks
-    without expanding them into boards."""
-    return len(_quotient(g)[0])
-
-
 @lru_cache(maxsize=1)
 def full_partition() -> OrbitPartition:
     """Orbit partition of the full symmetry group: the Type 1 / Type 2 split."""
@@ -137,11 +133,11 @@ def full_partition() -> OrbitPartition:
 def is_complete(g: SymmetryGroup) -> bool:
     """True iff g's orbits equal the full group's.  A complete g is
     transitive on each full orbit, so every full orbit size divides |g|;
-    only then are g's orbits counted: they refine the full group's and
-    equal them iff as many."""
+    only then are g's orbits counted, on the relabel-kernel blocks: they
+    refine the full group's and equal them iff as many."""
     full = full_partition()
     divides = all(g.order % size == 0 for size in full.sizes())
-    return divides and orbit_count(g) == full.block_count
+    return divides and len(_quotient(g)[0]) == full.block_count
 
 
 class Edge(NamedTuple):

@@ -1,24 +1,24 @@
 """Fixed-point counts and orbit counts via the averaging lemma.
 
-Board k is fixed by (x, sigma) exactly when sigma undoes the cell move
-x on it.  Relabelings act freely on valid boards (the first row carries
-every value), so that sigma is unique when it exists, and undo_row(p)
-names it for position symmetry number p on every board, read off the
-boards' value-nest coordinates (group._kernel_blocks of S4): board k is
-tau_k(b_i), b_i the smallest board of its nest, so x is undone on k iff
-x(k) = m lies in k's nest, by tau_k tau_m^-1.  An element's fixed count
-is how often its row names its relabeling, and x's invariant count how
-many boards its row names any relabeling for; verify's fixing-rules
-check takes its candidate pairs from the same rows.  relabel_recovery
-finds the sigma on one board from its cells.
+Relabelings act freely on valid boards (the first row carries every
+value) and commute with cell moves.  So with board k = tau(b_i) in
+value-nest coordinates and x(b_i) = rho(b_j) from group.cocycle,
+(x, sigma) sends k to sigma tau rho(b_j): it fixes boards only in the
+nests x fixes, and there the tau(b_i) with sigma = tau rho^-1 tau^-1,
+|C(sigma)| boards if sigma is conjugate to rho, else none.  Fixed counts,
+invariant counts and a group's Burnside total, summed over the cosets of
+its relabel-only kernel (_coset_fixed), are sums over fixed nests.
+undo_row(p) names, board by board, the relabeling that undoes x_p, read
+off the coordinates and not the cocycle, for verify's fixing-rules
+check; relabel_recovery finds it on one board from its cells.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import compress
-from operator import eq, itemgetter
-from typing import NamedTuple
+from operator import eq, itemgetter, mul
+from typing import Iterable, NamedTuple
 
 from .board import VALUES, Board, REGIONS
 from .group import (
@@ -26,6 +26,7 @@ from .group import (
     ConjugacyClass,
     SymmetryGroup,
     _kernel_blocks,
+    cocycle,
     conjugacy_classes,
     element_number,
     factor_tables,
@@ -66,18 +67,39 @@ def undo_row(p: int) -> bytes:
 
 
 def invariant_count(x: Perm) -> int:
-    """Number of boards invariant under x up to relabeling: those on
-    which some relabeling undoes x.  Raises element_number's ValueError
-    unless x is in H4."""
-    row = undo_row(element_number(SymmetryElement.from_position(x)) // RELABELINGS)
-    return len(row) - row.count(0)
+    """Number of boards invariant under x up to relabeling: the 24 boards
+    of each value nest x maps to itself.  Raises element_number's
+    ValueError unless x is in H4."""
+    p = element_number(SymmetryElement.from_position(x)) // RELABELINGS
+    return RELABELINGS * len(cocycle()[1][p])
+
+
+@lru_cache(maxsize=None)  # keyed by a subgroup of S4, of which there are 30
+def _coset_fixed(kernel: frozenset[int]) -> tuple[tuple[int, ...], ...]:
+    """Entry [u][rho] is |C(rho)| x |uK meets rho's class|: the fixed
+    points of the elements (x, sigma), sigma in the coset uK, on a value
+    nest that x fixes with cocycle value rho."""
+    (_, _, classes, centralizers), relabel = cocycle(), factor_tables()[1].products
+    rows = []
+    for u in range(RELABELINGS):
+        hits = [0] * RELABELINGS  # by class
+        for k in kernel:
+            hits[classes[relabel[u][k]]] += 1
+        rows.append(tuple(map(mul, centralizers, map(hits.__getitem__, classes))))
+    return tuple(rows)
+
+
+def _fixed_total(cosets: Iterable[tuple[int, int]], kernel: frozenset[int]) -> int:
+    """The fixed points of the elements (x_p, u * k), (p, u) in cosets and
+    k in the relabel-only kernel K: a sum over the nests each x_p fixes."""
+    fixed, weights = cocycle()[1], _coset_fixed(kernel)
+    return sum(weights[u][rho] for p, u in cosets for rho in fixed[p])
 
 
 def _fixed_count(n: int) -> int:
-    """Number of boards that element number n = (x, sigma) fixes: those
-    on which sigma undoes x."""
-    p, r = divmod(n, RELABELINGS)
-    return undo_row(p).count(r + 1)
+    """Number of boards that element number n = (x, sigma) fixes: |C(sigma)|
+    in each value nest x fixes with its rho conjugate to sigma."""
+    return _fixed_total([divmod(n, RELABELINGS)], frozenset({0}))
 
 
 def fixed_points(e: SymmetryElement) -> int:
@@ -87,10 +109,11 @@ def fixed_points(e: SymmetryElement) -> int:
 
 def burnside_orbit_count(g: SymmetryGroup) -> int:
     """Orbit count as the average fixed-point count over g's elements,
-    each read off the board images.  Raises ValueError if the total is
-    not divisible by |g| (an action bug or a non-group input).
+    summed over the cosets of its relabel-only kernel, one over each
+    position part.  Raises ValueError if the total is not divisible by
+    |g| (an action bug or a non-group input).
     """
-    total = sum(map(_fixed_count, g.numbers))
+    total = _fixed_total(g.section.items(), g.kernel)
     if total % g.order != 0:
         raise ValueError(f"fixed-point total {total} not divisible by group order {g.order}")
     return total // g.order

@@ -5,20 +5,22 @@ Every group is a subgroup of H4 x S4 (order 3072), so its elements are
 numbered: position symmetry x and relabeling sigma by their places in
 sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
 as SymmetryElements do.  Only this module, action's orbit quotient,
-burnside's undo rows and the S4 nest-graph aux read the numbering:
-closure, products, conjugacy classes and membership multiply numbers
-through factor_tables(), image(n) moves board numbers as element n does,
-and the other three read _kernel_blocks(K), each board's orbit under a
-relabel-only kernel K and the relabeling in K taking the orbit's
+burnside's counts and undo rows and the S4 nest-graph aux read the
+numbering: closure, products, conjugacy classes and membership multiply
+numbers through factor_tables(), image(n) moves board numbers as element
+n does, and the other three read _kernel_blocks(K), each board's orbit
+under a relabel-only kernel K and the relabeling in K taking the orbit's
 smallest board to it; for K = S4, the boards' value-nest coordinates.
+cocycle() tables from these how each position symmetry moves the value
+nests, x(b_i) = rho(b_j), for burnside's fixed-point sums.
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 A group keeps that closure, a relabel part over each position part and
-the kernel; order, the factor tests, direct products and the action's
-orbit quotient read it, and the element numbers are built only when
-read, once per group.  A hand-built SymmetryGroup must be generated by
-its generators or, if given none, by its elements: anything else raises
-ValueError.
+the kernel; order, the factor tests, direct products, the action's
+orbit quotient and burnside's orbit counts read it, and the element
+numbers are built only when read, once per group.  A hand-built
+SymmetryGroup must be generated by its generators or, if given none, by
+its elements: anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -139,6 +141,25 @@ def _kernel_blocks(kernel: frozenset[int]) -> tuple[tuple[int, ...], int, itemge
                 label[m], tau[m] = len(smallest), r
             smallest.append(k)
     return tuple(label), len(smallest), itemgetter(*smallest), tuple(tau)
+
+
+@lru_cache(maxsize=1)
+def cocycle() -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
+    """How position symmetries move the value nests, read off the value-nest
+    coordinates (_kernel_blocks of S4): moves[p][i] = (j, rho) when
+    x_p(b_i) = rho(b_j), b_i nest i's smallest board; fixed[p], the rho of
+    each nest x_p fixes (j = i); and for each relabeling, its conjugacy
+    class in S4, numbered by smallest member, and centralizer order."""
+    position, relabel = factor_tables()
+    nest, _, smallest, tau = _kernel_blocks(frozenset(range(RELABELINGS)))
+    moves = tuple(tuple((nest[m], tau[m]) for m in smallest(images)) for images in position.images)
+    fixed = tuple(tuple(rho for i, (j, rho) in enumerate(row) if i == j) for row in moves)
+    rows = relabel.products
+    inverses = [row.index(0) for row in rows]
+    conjugates = [
+        {rows[row[r]][inverse] for row, inverse in zip(rows, inverses)} for r in range(RELABELINGS)
+    ]
+    return moves, fixed, tuple(map(min, conjugates)), tuple(RELABELINGS // len(c) for c in conjugates)
 
 
 def _product(a: int, b: int) -> int:

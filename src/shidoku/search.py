@@ -3,7 +3,8 @@
 Candidates are direct products <P> x <R> for P, R subsets of finite
 generator pools; the default pools are the rotation/half-turn/row-swap/
 transpose position generators and the four standard transpositions plus
-one 3-cycle of relabelings.
+one 3-cycle of relabelings.  Products' orbits are counted by Burnside's
+lemma (burnside_orbit_count), not labeled.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import NamedTuple
 
 from .group import direct_product, generate_position, generate_relabel
 from .perm import RELABEL_GENERATOR_NAMES, Perm, relabeling, standard_position_generators
-from .action import full_partition, is_complete, orbit_count
+from .action import full_partition
+from .burnside import burnside_orbit_count
 
 NamedPerm = tuple[str, Perm]
 
@@ -70,9 +72,9 @@ def search_products(
     relabel_pool: tuple[NamedPerm, ...] | None = None,
 ) -> tuple[SearchResult, ...]:
     """Evaluate every (position subset, relabel subset) pair as a direct
-    product.  Each distinct product is built once; its orbits are counted
-    on the relabel-kernel quotient (orbit_count), and is_complete reads
-    the same labeling, so no partition of the boards is built.
+    product.  Each distinct product is built once and its orbits counted
+    by burnside_orbit_count; as a subgroup's orbits refine the full
+    group's, it is complete iff it has as many.  No orbit is labeled.
 
     Results are deduplicated by the underlying element sets, which the
     factors' position parts and relabel kernel determine (the first,
@@ -92,6 +94,7 @@ def search_products(
         for subset in _subsets(relabel_pool)
     ]
 
+    full_count = full_partition().block_count
     seen: set[tuple[frozenset[int], frozenset[int]]] = set()
     results: list[SearchResult] = []
     for pos_subset, pos_group in position_groups:
@@ -102,6 +105,7 @@ def search_products(
                 continue
             seen.add(key)
             product = direct_product(pos_group, rel_group)
+            count = burnside_orbit_count(product)
             results.append(
                 SearchResult(
                     position_names=tuple(name for name, _ in pos_subset),
@@ -109,8 +113,8 @@ def search_products(
                     position_gens=tuple(p for _, p in pos_subset),
                     relabel_gens=tuple(p for _, p in rel_subset),
                     order=product.order,
-                    orbit_count=orbit_count(product),
-                    complete=is_complete(product),
+                    orbit_count=count,
+                    complete=count == full_count,
                 )
             )
     return tuple(sorted(results, key=lambda res: (res.order, res.label)))

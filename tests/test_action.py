@@ -1,4 +1,5 @@
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -27,10 +28,10 @@ from shidoku.action import (
     is_complete,
     is_position_symmetry,
     named_generators,
-    orbit_count,
     orbit_graph,
     orbits,
 )
+from shidoku.burnside import burnside_orbit_count
 from shidoku.nests import s4_nests
 from shidoku.search import default_position_pool, default_relabel_pool, search_products
 from shidoku.unionfind import components
@@ -187,8 +188,7 @@ def assert_orbits_match_oracle(g, full_blocks):
     want = oracle_orbits(g.generators)
     part = orbits(g)
     assert list(part.blocks) == sorted(tuple(sorted(block)) for block in want)
-    action._quotient_blocks.cache_clear()
-    assert orbit_count(g) == part.block_count
+    assert burnside_orbit_count(g) == part.block_count
     action._quotient_blocks.cache_clear()
     assert is_complete(g) == (want == full_blocks)
 
@@ -305,10 +305,39 @@ def test_is_complete_after_orbits_labels_the_orbits_once(monkeypatch):
     # a different group is labeled anew
     assert not is_complete(named_group("rtxS4"))
     assert len(calls) == 2
-    # search counts each distinct product's orbits and judges it with one labeling
-    calls.clear()
-    results = search_products()
-    assert len(calls) == len(results)
+
+
+def test_search_counts_orbits_without_labeling_them():
+    # search counts each product's orbits by Burnside and judges it by the
+    # count: no orbit labeling and no is_complete, through any binding
+    full_partition()
+    rng = random.Random(25)
+    positions = rng.sample(position_group().sorted_elements(), 3)
+    relabelings = rng.sample(relabel_group().sorted_elements(), 3)
+    seeded = (
+        tuple((f"x{k}", e.pos) for k, e in enumerate(positions)),
+        tuple((f"s{k}", e.rel) for k, e in enumerate(relabelings)),
+    )
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        results = search_products() + search_products(*seeded)
+    finally:
+        sys.setprofile(None)
+    labelers = {components, is_complete, action._quotient_blocks.__wrapped__}
+    assert search_products.__code__ in called
+    assert not called & {f.__code__ for f in labelers}
+    for res in results:
+        factors = generate_position(res.position_gens), generate_relabel(res.relabel_gens)
+        product = direct_product(*factors)
+        assert res.complete == is_complete(product)
+        assert res.orbit_count == orbits(product).block_count
+    assert {res.complete for res in results} == {True, False}
 
 
 def test_is_complete():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from shidoku import group as group_module
 from shidoku import search
-from shidoku.action import apply_values, is_complete, orbit_count, orbits
+from shidoku.action import apply_values, is_complete, orbits
 from shidoku.board import Board, board_numbers, enumerate_all
+from shidoku.burnside import burnside_orbit_count
 from shidoku.perm import (
     Perm,
     SymmetryElement,
@@ -21,7 +22,9 @@ from shidoku.perm import (
     relabeling,
 )
 from shidoku.group import (
+    RELABELINGS,
     SymmetryGroup,
+    cocycle,
     conjugacy_classes,
     direct_product,
     element,
@@ -39,7 +42,14 @@ from shidoku.group import (
     trivial_group,
 )
 from shidoku.search import default_position_pool, default_relabel_pool
-from helpers import format_group_description, is_subgroup, oracle_closure, position_parts, relabel_parts
+from helpers import (
+    format_group_description,
+    is_subgroup,
+    oracle_closure,
+    oracle_orbits,
+    position_parts,
+    relabel_parts,
+)
 
 
 @pytest.mark.parametrize(
@@ -251,7 +261,7 @@ def test_queries_and_search_build_no_number_set(monkeypatch):
     rng = random.Random(14)
     for _ in range(20):
         g = generate(rng.sample(elements, rng.choice((1, 2))))
-        orbits(g), orbit_count(g), is_complete(g)
+        orbits(g), burnside_orbit_count(g), is_complete(g)
     search.search_products()
     assert builds == []
     first = g.numbers
@@ -399,3 +409,27 @@ def test_group_description_roundtrip():
 def test_group_description_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_group_description(text)
+
+
+def test_cocycle_moves_each_nests_smallest_board_as_the_action_does():
+    # x(b_i) = rho(b_j) under apply_values, b_i the smallest board of value
+    # nest i with the nests from the oracle's orbits, not the factor tables
+    boards, numbers = enumerate_all(), board_numbers()
+    relabel_orbits = oracle_orbits(relabel_group().generators)
+    firsts = sorted(min(numbers[b.values] for b in orbit) for orbit in relabel_orbits)
+    moves, fixed, classes, centralizers = cocycle()
+    for e in position_group().sorted_elements():  # r, s and t among them
+        row = moves[element_number(e) // RELABELINGS]
+        assert len(row) == len(firsts) == 12
+        for i, (j, rho) in enumerate(row):
+            moved = apply_values(element(rho), boards[firsts[j]].values)
+            assert apply_values(e, boards[firsts[i]].values) == moved
+    for row, nests in zip(moves, fixed):
+        assert nests == tuple(rho for i, (j, rho) in enumerate(row) if i == j)
+    assert sum(map(bool, fixed)) == 72
+    # each relabeling's class, by its smallest member, and centralizer, by Perm products
+    relabelings = factor_tables()[1].elements
+    for r, sigma in enumerate(relabelings):
+        conjugates = {relabelings.index(t * sigma * t.inverse()) for t in relabelings}
+        assert classes[r] == min(conjugates)
+        assert centralizers[r] == sum(t * sigma == sigma * t for t in relabelings)

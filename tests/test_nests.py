@@ -1,4 +1,5 @@
 import re
+from itertools import combinations
 
 import pytest
 
@@ -8,6 +9,7 @@ from shidoku.perm import Perm, gen_r, gen_r2, gen_s, gen_t, relabeling
 from shidoku.group import generate_position, relabel_group
 from shidoku.action import apply, full_partition, position_apply
 from shidoku.perm import SymmetryElement
+from shidoku.search import default_position_pool, default_relabel_pool
 from shidoku.nests import (
     H4_REPRESENTATIVES,
     NestGraph,
@@ -248,6 +250,27 @@ def test_completeness_component_unions_match_type_split():
         for comp in graph.components()
     }
     assert unions == {frozenset(block) for block in full_partition().blocks}
+
+
+def test_nest_graph_components_lie_inside_full_orbits():
+    # over every subset of the quotient-consistency check's two pools, a
+    # component's boards are an orbit of a subgroup of the full group, so
+    # they lie inside one full orbit: with two full orbits, exactly two
+    # components are those orbits, and the count decides completeness
+    orbit_of = {b: c for c, block in enumerate(full_partition().blocks) for b in block}
+    verdicts = set()
+    cases = ((default_position_pool(), s4_nest_graph), (default_relabel_pool(), h4_nest_graph))
+    for pool, nest_graph in cases:
+        for subset in (s for size in range(len(pool) + 1) for s in combinations(pool, size)):
+            graph = nest_graph([p for _, p in subset])
+            for component in graph.components():
+                boards = [b for label in component for b in graph.nest(label).members]
+                assert len({orbit_of[b] for b in boards}) == 1
+            if subset:
+                verdict = completeness_via_nests([p for _, p in subset])
+                assert verdict == (graph.component_count == 2)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize("cycle", ["(1 2)", "(2 3)"])
