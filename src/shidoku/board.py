@@ -73,9 +73,6 @@ class Board(namedtuple("Board", "values")):
     def text(self) -> str:
         return "".join(str(v) for v in self.values)
 
-    def value_at(self, cell: int) -> int:
-        return self.values[cell - 1]
-
     def cells_with(self, value: int) -> frozenset[int]:
         """Cells (1-based) holding the given value."""
         return frozenset(i + 1 for i, v in enumerate(self.values) if v == value)

@@ -4,15 +4,14 @@ conjugacy classes.
 Every group is a subgroup of H4 x S4 (order 3072), so its elements are
 numbered: position symmetry x and relabeling sigma by their places in
 sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
-as SymmetryElements do.  Only this module, action's orbit quotient,
-burnside's counts and undo rows and the S4 nest-graph aux read the
-numbering: closure, products, conjugacy classes and membership multiply
-numbers through factor_tables(), image(n) moves board numbers as element
-n does, and the other three read _kernel_blocks(K), each board's orbit
-under a relabel-only kernel K and the relabeling in K taking the orbit's
-smallest board to it; for K = S4, the boards' value-nest coordinates.
-cocycle() tables from these how each position symmetry moves the value
-nests, x(b_i) = rho(b_j), for burnside's fixed-point sums.
+as SymmetryElements do.  The numbering is read only through this
+module's tables: factor_tables() multiplies numbers and moves board
+numbers, image(n) moves board numbers as element n does,
+_kernel_blocks(K) gives each board's orbit under a relabel-only kernel K
+and the relabeling in K taking the orbit's smallest board to it (for
+K = S4, the boards' value-nest coordinates), and cocycle() tables from
+these how each position symmetry moves the value nests,
+x(b_i) = rho(b_j).
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 A group keeps that closure, a relabel part over each position part and

@@ -6,11 +6,13 @@ representative each holds: twelve relabeling-orbits A-L, whose
 canonical forms have the upper-left block 1,2 / 3,4, and six position
 orbits a-f (in lexicographic order), whose canonical forms have 1s on
 cells 1, 7, 10, 16, the cell-6 value <= the cell-11 value, and the cell-2
-value < the cell-5 value.  The canonicalizers check those forms.  A
-nest-graph edge's aux, back to its nest's representative, is read off
-the value-nest coordinates (S4, group._kernel_blocks) or off
-h4_canonicalize_with_transform (H4), run once per board (_h4_transform).
-Boards' nests are found by board number (_nest_numbers).
+value < the cell-5 value.  A nest-graph edge follows one rule for both
+factors: the generator moves a nest's representative to a board, the
+edge's target is the nest represented by that board's canonical form,
+and its aux is the transform the canonicalizer applied, run once per
+board (_s4_canonical, _h4_canonical).  So the graphs read the
+canonicalizers and not the orbits' tables; the tests check the two
+against each other.
 """
 
 from __future__ import annotations
@@ -20,9 +22,7 @@ from typing import Callable, Iterable, NamedTuple
 
 from .board import Board, block_of, board_numbers, coords, enumerate_all
 from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
-from .group import (
-    SymmetryGroup, _kernel_blocks, element_number, factor_tables, image, position_group, relabel_group
-)
+from .group import SymmetryGroup, element_number, image, position_group, relabel_group
 from .action import Edge, Graph, apply_values, orbits, position_apply
 
 #: Canonical representatives of the twelve relabeling-orbits (S4-nests).
@@ -79,12 +79,26 @@ class NestGraph(NamedTuple):
         raise KeyError(label)
 
 
+def s4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
+    """(canonical board, sigma) where sigma is the relabeling applied, the
+    one making the upper-left block read 1,2 / 3,4.  ValueError unless
+    that block holds the values 1-4."""
+    block = b.values[0:2] + b.values[4:6]
+    if sorted(block) != [1, 2, 3, 4]:
+        raise ValueError(f"upper-left block of {b.text} does not hold the values 1-4")
+    sigma = Perm(block).inverse()
+    return Board(apply_values(SymmetryElement.from_relabeling(sigma), b.values)), sigma
+
+
+@lru_cache(maxsize=288)
+def _s4_canonical(k: int) -> tuple[Board, Perm]:
+    """s4_canonicalize_with_transform of board number k, once per board."""
+    return s4_canonicalize_with_transform(enumerate_all()[k])
+
+
 def s4_canonicalize(b: Board) -> Board:
     """The unique relabeling of b whose upper-left block reads 1,2 / 3,4."""
-    image = [0] * 4
-    for cell, target in ((1, 1), (2, 2), (5, 3), (6, 4)):
-        image[b.value_at(cell) - 1] = target
-    return Board(apply_values(SymmetryElement.from_relabeling(Perm(tuple(image))), b.values))
+    return s4_canonicalize_with_transform(b)[0]
 
 
 def _ones_configuration_transform(b: Board) -> Perm:
@@ -95,13 +109,8 @@ def _ones_configuration_transform(b: Board) -> Perm:
     if sorted(by_block) != [1, 2, 3, 4]:
         raise ValueError("board has no one-per-block configuration of 1s")
     (r1, c1), (r2, c2), (r3, c3), (r4, c4) = (by_block[k] for k in (1, 2, 3, 4))
-    row_image = [0] * 4
-    for row, target in ((r1, 1), (r2, 2), (r3, 3), (r4, 4)):
-        row_image[row - 1] = target
-    col_image = [0] * 4
-    for col, target in ((c1, 1), (c3, 2), (c2, 3), (c4, 4)):
-        col_image[col - 1] = target
-    return grid_perm(Perm(tuple(row_image)), Perm(tuple(col_image)))
+    # row r_i goes to row i, and column c1, c3, c2, c4 to column 1, 2, 3, 4
+    return grid_perm(Perm((r1, r2, r3, r4)).inverse(), Perm((c1, c3, c2, c4)).inverse())
 
 
 def h4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
@@ -124,10 +133,9 @@ def h4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
 
 
 @lru_cache(maxsize=288)
-def _h4_transform(k: int) -> Perm:
-    """The position symmetry taking board number k to its canonical form;
-    keyed by the number, so one entry per board."""
-    return h4_canonicalize_with_transform(enumerate_all()[k])[1]
+def _h4_canonical(k: int) -> tuple[Board, Perm]:
+    """h4_canonicalize_with_transform of board number k, once per board."""
+    return h4_canonicalize_with_transform(enumerate_all()[k])
 
 
 def h4_canonicalize(b: Board) -> Board:
@@ -164,10 +172,11 @@ def h4_nests() -> tuple[Nest, ...]:
 
 
 def s4_nest_of(b: Board) -> str:
-    """The label of the value nest holding b, found by board number."""
+    """The label of the value nest holding b: that of its canonical form."""
     if (k := board_numbers().get(b.values)) is None:
         raise ValueError(f"not a valid Shidoku board: {b.text}")
-    return s4_nests()[_nest_numbers(s4_nests)[0][k]].label
+    form = _s4_canonical(k)[0]
+    return next(n.label for n in s4_nests() if n.representative == form)
 
 
 def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
@@ -179,49 +188,30 @@ def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
     return named
 
 
-@lru_cache(maxsize=2)
-def _nest_numbers(factor_nests: Callable[[], tuple[Nest, ...]]) -> tuple[dict[int, int], tuple[int, ...]]:
-    """The nests factor_nests() returns, in board numbers: (nest_of, reps),
-    where nest_of[k] is the index of the nest holding board k and reps[i]
-    is nest i's representative.  Built once per factor and keyed by its
-    nests function, as hashing a tuple of Nests hashes every Board."""
-    numbers, nests = board_numbers(), factor_nests()
-    nest_of = {numbers[b.values]: i for i, n in enumerate(nests) for b in n.members}
-    return nest_of, tuple(numbers[n.representative.values] for n in nests)
-
-
 def _nest_graph(
     gens: Iterable,
     degree: int,
     factor_nests: Callable[[], tuple[Nest, ...]],
     element: Callable[[Perm], SymmetryElement],
-    correction: Callable[[int, int], Perm],
+    canonical: Callable[[int], tuple[Board, Perm]],
 ) -> NestGraph:
     """Induced action of one factor's generators on the other factor's
     nests, factor_nests(): each representative moves by element(g)'s
-    board image to a board k in some nest; correction(k, rep), returning
-    k to the board numbered rep, that nest's representative, is the
-    edge's aux.  element_number rejects a generator outside H4 x S4."""
+    board image to a board k, and canonical(k) = (form, fix) gives the
+    edge's target, the nest that form represents, and its aux, fix.
+    element_number rejects a generator outside H4 x S4."""
     nests = factor_nests()
-    nest_of, reps = _nest_numbers(factor_nests)
+    reps = [board_numbers()[n.representative.values] for n in nests]
+    label = {n.representative: n.label for n in nests}
     edges = []
     for name, g in _named(gens, degree):
         directed = not (g * g).is_identity
         moved = image(element_number(element(g)))
         for n, rep in zip(nests, reps):
-            k = moved[rep]
-            dst = nest_of[k]
-            fix = correction(k, reps[dst])
+            form, fix = canonical(moved[rep])
             aux = None if fix.is_identity else fix
-            edges.append(Edge(n.label, nests[dst].label, name, directed, aux))
+            edges.append(Edge(n.label, label[form], name, directed, aux))
     return NestGraph(tuple(n.label for n in nests), tuple(edges), nests)
-
-
-def _s4_correction(k: int, rep: int) -> Perm:
-    """The relabeling sending board k to board rep of the same value nest:
-    tau_rep tau_k^-1 in value-nest coordinates (group._kernel_blocks)."""
-    tau, relabel = _kernel_blocks(relabel_group().kernel)[3], factor_tables()[1]
-    return relabel.elements[relabel.products[tau[rep]][relabel.products[tau[k]].index(0)]]
 
 
 def s4_nest_graph(gens: Iterable) -> NestGraph:
@@ -230,7 +220,7 @@ def s4_nest_graph(gens: Iterable) -> NestGraph:
     Each edge records the relabeling needed to return the moved
     representative to canonical form.
     """
-    return _nest_graph(gens, 16, s4_nests, SymmetryElement.from_position, _s4_correction)
+    return _nest_graph(gens, 16, s4_nests, SymmetryElement.from_position, _s4_canonical)
 
 
 def h4_nest_graph(gens: Iterable) -> NestGraph:
@@ -239,9 +229,7 @@ def h4_nest_graph(gens: Iterable) -> NestGraph:
     Each edge records the position symmetry needed to return the moved
     representative to canonical form.
     """
-    return _nest_graph(
-        gens, 4, h4_nests, SymmetryElement.from_relabeling, lambda k, _: _h4_transform(k)
-    )
+    return _nest_graph(gens, 4, h4_nests, SymmetryElement.from_relabeling, _h4_canonical)
 
 
 def completeness_via_nests(gens: Iterable) -> bool:

@@ -1,8 +1,10 @@
 import re
+import sys
 from itertools import combinations
 
 import pytest
 
+from shidoku import action, group
 from shidoku import nests as nests_module
 from shidoku.board import Board, enumerate_all
 from shidoku.perm import Perm, gen_r, gen_r2, gen_s, gen_t, relabeling
@@ -20,6 +22,7 @@ from shidoku.nests import (
     h4_nest_graph,
     h4_nests,
     s4_canonicalize,
+    s4_canonicalize_with_transform,
     s4_nest_graph,
     s4_nest_of,
     s4_nests,
@@ -47,6 +50,20 @@ def test_s4_canonicalize_constant_on_relabeling_orbits():
         rep = Board.from_text(text)
         for e in relabel_group().sorted_elements():
             assert s4_canonicalize(apply(e, rep)) == rep
+
+
+def test_s4_canonicalize_transform_is_the_relabeling_that_works():
+    for b in enumerate_all():
+        canon, sigma = s4_canonicalize_with_transform(b)
+        assert oracle_apply(SymmetryElement.from_relabeling(sigma), b.values) == canon.values
+        assert canon.values[:2] + canon.values[4:6] == (1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("text", ["2100030000000000", "1123341221434321"])
+def test_s4_canonicalize_rejects_an_upper_left_block_without_the_values_1_to_4(text):
+    # an empty cell there must not be renamed as if it held a 4
+    with pytest.raises(ValueError, match=f"^upper-left block of {text} does not hold the values 1-4$"):
+        s4_canonicalize(Board.from_text(text))
 
 
 def test_s4_nests_golden():
@@ -271,6 +288,33 @@ def test_nest_graph_components_lie_inside_full_orbits():
                 assert verdict == (graph.component_count == 2)
                 verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_nest_graphs_read_neither_the_kernel_blocks_nor_the_cocycle():
+    # check 10 holds nest-graph verdicts against is_complete, so with the
+    # nests built the graphs must not read the value-nest tables that
+    # is_complete and the Burnside counts rest on; the caches are emptied
+    # so that any call runs, and shows, the function's body
+    s4_nests(), h4_nests()
+    tables = (group._kernel_blocks, action._quotient_blocks, group.cocycle)
+    for table in tables:
+        table.cache_clear()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    cases = ((default_position_pool(), s4_nest_graph), (default_relabel_pool(), h4_nest_graph))
+    sys.setprofile(profile)
+    try:
+        for pool, nest_graph in cases:
+            for subset in (s for size in range(len(pool) + 1) for s in combinations(pool, size)):
+                nest_graph([p for _, p in subset])
+    finally:
+        sys.setprofile(None)
+    assert nests_module._nest_graph.__code__ in called
+    assert not called & {table.__wrapped__.__code__ for table in tables}
 
 
 @pytest.mark.parametrize("cycle", ["(1 2)", "(2 3)"])
