@@ -10,9 +10,9 @@ K = {sigma : (1, sigma) in G}, which G keeps from its closure, is normal
 in G, and relabelings act freely, so the K-orbits are blocks of |K|
 boards each (for K = S4, the 12 value nests) and G's orbits are the
 components of its generators acting on those blocks; generators in K fix
-every block and are skipped.  orbits and is_complete label them; an
-orbit count alone is burnside.burnside_orbit_count's, which labels
-nothing.
+every block and are skipped.  orbits labels them, in one place; a
+group is complete iff its orbits are the full group's, and an orbit
+count alone is burnside.burnside_orbit_count's, which labels nothing.
 """
 
 from __future__ import annotations
@@ -81,40 +81,27 @@ class OrbitPartition(NamedTuple):
 
 
 @lru_cache(maxsize=1)
-def _quotient_blocks(
-    generators: tuple[SymmetryElement, ...], kernel: frozenset[int]
-) -> tuple[list[list[int]], tuple[int, ...] | None]:
-    """The components of the generators on the kernel's blocks, sorted by
-    smallest board, and each board's block; None when the kernel is
-    trivial, as the blocks are then the boards.  Generators with no
-    position part lie in the kernel and are skipped.  The last
-    generators' components are kept, for is_complete right after orbits;
-    keyed by the generators and kernel, not the group, the cache does not
-    keep the group alive."""
+def _orbits(generators: tuple[SymmetryElement, ...], kernel: frozenset[int]) -> OrbitPartition:
+    """The orbits of the group with these generators and relabel-only
+    kernel: the components of the generators on the kernel's blocks,
+    each expanded into its boards in one pass over the boards, so the
+    orbits come out sorted; with a trivial kernel the blocks are the
+    boards.  Generators with no position part lie in the kernel and are
+    skipped.  The last partition is kept, for is_complete right after
+    orbits; keyed by the generators and kernel, not the group, the cache
+    does not keep the group alive."""
     numbers = [n for n in map(element_number, generators) if n >= RELABELINGS]
     if len(kernel) == 1:
-        return components(len(enumerate_all()), [image(n) for n in numbers]), None
+        boards = components(len(enumerate_all()), [image(n) for n in numbers])
+        return OrbitPartition(tuple(map(tuple, boards)))
     label, count, smallest, _ = _kernel_blocks(kernel)
     position, relabel = factor_tables()
     maps = [
         itemgetter(*itemgetter(*smallest(position.images[p]))(relabel.images[r]))(label)
         for p, r in (divmod(n, RELABELINGS) for n in numbers)
     ]
-    return components(count, maps), label
-
-
-def _quotient(g: SymmetryGroup) -> tuple[list[list[int]], tuple[int, ...] | None]:
-    return _quotient_blocks(g.generators, g.kernel)
-
-
-def orbits(g: SymmetryGroup) -> OrbitPartition:
-    """Orbit partition of the 288 boards under g: the components of g's
-    generators on the relabel-kernel blocks, each expanded into its
-    boards in one pass over the boards, so the orbits come out sorted."""
-    quotient, label = _quotient(g)
-    if label is None:
-        return OrbitPartition(tuple(map(tuple, quotient)))
-    component_of = [0] * sum(map(len, quotient))
+    quotient = components(count, maps)
+    component_of = [0] * count
     for c, component in enumerate(quotient):
         for i in component:
             component_of[i] = c
@@ -124,6 +111,12 @@ def orbits(g: SymmetryGroup) -> OrbitPartition:
     return OrbitPartition(tuple(map(tuple, blocks)))
 
 
+def orbits(g: SymmetryGroup) -> OrbitPartition:
+    """Orbit partition of the 288 boards under g, labeled on its
+    relabel-kernel blocks (_orbits)."""
+    return _orbits(g.generators, g.kernel)
+
+
 @lru_cache(maxsize=1)
 def full_partition() -> OrbitPartition:
     """Orbit partition of the full symmetry group: the Type 1 / Type 2 split."""
@@ -131,13 +124,9 @@ def full_partition() -> OrbitPartition:
 
 
 def is_complete(g: SymmetryGroup) -> bool:
-    """True iff g's orbits equal the full group's.  A complete g is
-    transitive on each full orbit, so every full orbit size divides |g|;
-    only then are g's orbits counted, on the relabel-kernel blocks: they
-    refine the full group's and equal them iff as many."""
-    full = full_partition()
-    divides = all(g.order % size == 0 for size in full.sizes())
-    return divides and len(_quotient(g)[0]) == full.block_count
+    """True iff g induces the same action as the full group, that is,
+    has the same orbits."""
+    return orbits(g) == full_partition()
 
 
 class Edge(NamedTuple):

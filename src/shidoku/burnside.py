@@ -53,16 +53,16 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
     return Perm._trusted(image) if set(image) == {1, 2, 3, 4} else None
 
 
-@lru_cache(maxsize=128)
 def undo_row(p: int) -> bytes:
     """Entry k is 1 + the number of the relabeling sigma for which
     (x, sigma) fixes board k, x the position symmetry numbered p, or 0
     if none does: tau_k tau_m^-1 when x moves board k to m in k's nest."""
     nest, _, _, tau = _kernel_blocks(frozenset(range(RELABELINGS)))
-    moved, relabel = factor_tables()[0].images[p], factor_tables()[1].products
+    position, relabel = factor_tables()
+    moved, products, inverses = position.images[p], relabel.products, relabel.inverses
     row = bytearray(len(moved))
     for k in compress(range(len(moved)), map(eq, nest, itemgetter(*moved)(nest))):
-        row[k] = relabel[tau[k]][relabel[tau[moved[k]]].index(0)] + 1
+        row[k] = products[tau[k]][inverses[tau[moved[k]]]] + 1
     return bytes(row)
 
 

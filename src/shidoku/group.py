@@ -47,12 +47,14 @@ RELABELINGS = 24
 
 class FactorTable(NamedTuple):
     """One factor's sorted elements, each numbered by its index, with
-    products[a][b] the number of elements[a] * elements[b] and images[a][k]
-    the number of board k moved by elements[a]; the identity is number 0."""
+    products[a][b] the number of elements[a] * elements[b], inverses[a]
+    the number of elements[a]^-1 and images[a][k] the number of board k
+    moved by elements[a]; the identity is number 0."""
 
     elements: tuple[Perm, ...]
     numbers: dict[Perm, int]
     products: tuple[tuple[int, ...], ...]
+    inverses: tuple[int, ...]
     images: tuple[tuple[int, ...], ...]
 
 
@@ -79,9 +81,9 @@ def _factor_table(gens: list[Perm], element: Callable[[Perm], SymmetryElement]) 
         k, p = parents[q]
         rows[q] = itemgetter(*rows[p])(left[k])
         images[q] = itemgetter(*images[p])(moved[k])
-    return FactorTable(
-        elements, numbers, tuple(rows[p] for p in elements), tuple(images[p] for p in elements)
-    )
+    products = tuple(rows[p] for p in elements)
+    inverses = tuple(row.index(0) for row in products)
+    return FactorTable(elements, numbers, products, inverses, tuple(images[p] for p in elements))
 
 
 @lru_cache(maxsize=1)
@@ -153,8 +155,7 @@ def cocycle() -> tuple[tuple, tuple, tuple[int, ...], tuple[int, ...]]:
     nest, _, smallest, tau = _kernel_blocks(frozenset(range(RELABELINGS)))
     moves = tuple(tuple((nest[m], tau[m]) for m in smallest(images)) for images in position.images)
     fixed = tuple(tuple(rho for i, (j, rho) in enumerate(row) if i == j) for row in moves)
-    rows = relabel.products
-    inverses = [row.index(0) for row in rows]
+    rows, inverses = relabel.products, relabel.inverses
     conjugates = [
         {rows[row[r]][inverse] for row, inverse in zip(rows, inverses)} for r in range(RELABELINGS)
     ]
@@ -170,7 +171,7 @@ def _product(a: int, b: int) -> int:
 def _inverse(a: int) -> int:
     position, relabel = factor_tables()
     p, r = divmod(a, RELABELINGS)
-    return position.products[p].index(0) * RELABELINGS + relabel.products[r].index(0)
+    return position.inverses[p] * RELABELINGS + relabel.inverses[r]
 
 
 def _closure(gens: Iterable[int]) -> tuple[dict[int, int], frozenset[int]]:
@@ -180,7 +181,8 @@ def _closure(gens: Iterable[int]) -> tuple[dict[int, int], frozenset[int]]:
     over each; reaching a seen p with relabel part t gives
     section[p]^-1 t, a Schreier generator of K = {sigma : (1, sigma) in G},
     closed in the 24 x 24 table.  G is every (p, section[p] * k), k in K."""
-    position, relabel = (table.products for table in factor_tables())
+    tables = factor_tables()
+    position, relabel, inverses = tables[0].products, tables[1].products, tables[1].inverses
     rows = [(position[p], relabel[r]) for p, r in (divmod(g, RELABELINGS) for g in gens)]
     section, queue, schreier = {0: 0}, [0], set()
     for p in queue:
@@ -190,7 +192,7 @@ def _closure(gens: Iterable[int]) -> tuple[dict[int, int], frozenset[int]]:
                 section[q] = t
                 queue.append(q)
             elif section[q] != t:
-                schreier.add(relabel[section[q]].index(t))
+                schreier.add(relabel[inverses[section[q]]][t])
     kernel = [0]
     for k in kernel:
         kernel += {relabel[s][k] for s in schreier}.difference(kernel)

@@ -199,7 +199,7 @@ def check_quotient_consistency() -> None:
         for size in range(len(pool) + 1):
             for subset in combinations(pool, size):
                 perms = [p for _, p in subset]
-                via_nests = completeness_via_nests(perms) if perms else False
+                via_nests = completeness_via_nests(perms)
                 direct = is_complete(direct_product(*factors(perms)))
                 expect(
                     via_nests == direct,
@@ -251,14 +251,10 @@ def check_action_and_relations() -> None:
     a and every full-group element b on the two orbit representatives
     (which extends to all pairs by induction on word length), and for
     all element pairs of the minimal complete group <s,t> x S4 on the
-    Type 1 representative: 7 x 3072 + 192 x 192 = 58,368 products, each
-    made by SymmetryElement multiplication and looked up by element.
-    Images come from apply_batch, one call per element and batch: the
-    identity and the 7 generators on all 288 boards, each full-group
-    element on the two representatives, and each element of <s,t> x S4
-    on the 96 boards of Type 1's orbit; each image is looked up by board
-    number.  The factor tables' generator images are compared with
-    apply's, and no answer is read from the tables.
+    Type 1 representative.  Products are made by SymmetryElement
+    multiplication and images by apply_batch; the factor tables'
+    generator images are compared with apply's, and no answer is read
+    from the tables.
     """
     r, s, t = gen_r(), gen_s(), gen_t()
 

@@ -189,7 +189,7 @@ def assert_orbits_match_oracle(g, full_blocks):
     part = orbits(g)
     assert list(part.blocks) == sorted(tuple(sorted(block)) for block in want)
     assert burnside_orbit_count(g) == part.block_count
-    action._quotient_blocks.cache_clear()
+    action._orbits.cache_clear()
     assert is_complete(g) == (want == full_blocks)
 
 
@@ -295,7 +295,7 @@ def test_is_complete_after_orbits_labels_the_orbits_once(monkeypatch):
         return components(size, maps)
 
     monkeypatch.setattr(action, "components", counted)
-    action._quotient_blocks.cache_clear()
+    action._orbits.cache_clear()
     g = named_group("stxS4")
     part = orbits(g)
     assert is_complete(g) and is_complete(named_group("stxS4"))
@@ -329,7 +329,7 @@ def test_search_counts_orbits_without_labeling_them():
         results = search_products() + search_products(*seeded)
     finally:
         sys.setprofile(None)
-    labelers = {components, is_complete, action._quotient_blocks.__wrapped__}
+    labelers = {components, is_complete, action._orbits.__wrapped__}
     assert search_products.__code__ in called
     assert not called & {f.__code__ for f in labelers}
     for res in results:
@@ -347,13 +347,13 @@ def test_is_complete():
     assert not is_complete(relabel_group())
 
 
-def test_is_complete_matches_the_orbit_comparison():
-    # orbits(g) == full_partition() is the slow side; groups whose order
-    # every full orbit size divides get past is_complete's order gate
+def test_is_complete_matches_the_burnside_count():
+    # is_complete compares labeled orbits; burnside_orbit_count runs on the
+    # cocycle and labels nothing, and a subgroup's orbits refine the full
+    # group's two, so it is complete iff the count is 2
     def subsets(pool):
         return [subset for size in range(len(pool) + 1) for subset in combinations(pool, size)]
 
-    full = full_partition()
     groups = [
         direct_product(generate_position(p for _, p in ps), generate_relabel(p for _, p in rs))
         for ps in subsets(default_position_pool())
@@ -363,15 +363,15 @@ def test_is_complete_matches_the_orbit_comparison():
     rng = random.Random(13)
     groups += [generate(rng.sample(elements, rng.randint(1, 3))) for _ in range(60)]
     rt_s4 = named_group("rtxS4")
-    assert rt_s4.order % 192 == 0 and orbits(rt_s4).block_count == 5
+    assert rt_s4.order == 192 and orbits(rt_s4).block_count == 5
     groups.append(rt_s4)
-    gated = set()
+    verdicts = set()
     for g in groups:
-        complete = orbits(g) == full
+        complete = burnside_orbit_count(g) == 2
         assert is_complete(g) == complete
-        if g.order % 192 == 0:
-            gated.add(complete)
-    assert gated == {True, False}
+        verdicts.add(complete)
+    assert verdicts == {True, False}
+    assert not is_complete(rt_s4)
 
 
 def test_two_orbits_equals_complete_for_subgroups():

@@ -99,6 +99,15 @@ def test_factor_table_products_match_perm_products():
                 assert table.elements[table.products[a][b]] == x * y
 
 
+def test_factor_table_inverses_are_the_inverses_of_every_element():
+    for table in factor_tables():
+        assert len(table.inverses) == len(table.elements)
+        for a, b in enumerate(table.inverses):
+            assert table.products[a][b] == table.products[b][a] == 0
+    for n in range(3072):
+        assert group_module._inverse(n) == element_number(element(n).inverse())
+
+
 def test_factor_table_images_match_apply_on_every_board():
     numbers = board_numbers()
     position, relabel = factor_tables()
@@ -189,6 +198,9 @@ def test_closure_by_cosets_matches_oracle_on_0_to_4_generators():
         # element, yet |K| = 3
         [(gen_r(), "(1 2)"), (gen_t(), "(1 3)")],
         [(gen_s(), "(1 2 3 4)"), (gen_t(), "(1 3)"), (gen_r2(), "(2 4)")],
+        # both over r: K is the Klein four-group, which the Schreier
+        # generators u^-1 t give; u t would give only half of it
+        [(gen_r(), "(1 2 3 4)"), (gen_r(), "(1 3)")],
     ],
 )
 def test_closure_reaches_relabel_only_elements_through_mixed_generators(gens):

@@ -296,7 +296,7 @@ def test_nest_graphs_read_neither_the_kernel_blocks_nor_the_cocycle():
     # is_complete and the Burnside counts rest on; the caches are emptied
     # so that any call runs, and shows, the function's body
     s4_nests(), h4_nests()
-    tables = (group._kernel_blocks, action._quotient_blocks, group.cocycle)
+    tables = (group._kernel_blocks, action._orbits, group.cocycle)
     for table in tables:
         table.cache_clear()
     called = set()
