@@ -10,13 +10,15 @@ K = {sigma : (1, sigma) in G}, which G keeps from its closure, is normal
 in G, and relabelings act freely, so the K-orbits are blocks of |K|
 boards each (for K = S4, the 12 value nests) and G's orbits are the
 components of its generators acting on those blocks; generators in K fix
-every block and are skipped.  orbits labels them, in one place; a
-group is complete iff its orbits are the full group's, and an orbit
-count alone is burnside.burnside_orbit_count's, which labels nothing.
+every block and are skipped.  A partition labels each board with its
+block's component, in one place, for every kernel; a group is complete
+iff its orbits are the full group's, and an orbit count alone is
+burnside.burnside_orbit_count's, which labels nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
 from typing import Hashable, Iterable, NamedTuple
@@ -43,22 +45,23 @@ def position_apply(x: Perm, values: tuple[int, ...]) -> tuple[int, ...]:
 
 def is_position_symmetry(x: Perm) -> bool:
     """True iff x maps every valid board to a valid board, that is, x is
-    one of the 128 elements of H4 (the tests check that no other cell
-    permutation keeps every board valid).
-
-    This is the gate for user-supplied cell permutations.
-    """
+    one of the 128 elements of H4: the gate for user cell permutations."""
     return x in factor_tables()[0].numbers
 
 
 class OrbitPartition(NamedTuple):
-    """Partition of the 288 boards into orbit blocks of board numbers.
+    """Partition of the 288 boards into orbits: labels[k] is the index of
+    board k's orbit, orbits numbered by their smallest board, so two
+    partitions are equal iff they chop the boards the same way."""
 
-    Blocks are sorted by minimal board; equality compares blocks only, so
-    two partitions are equal iff they chop the boards the same way.
-    """
+    labels: tuple[int, ...]
 
-    numbers: tuple[tuple[int, ...], ...]
+    @property
+    def numbers(self) -> tuple[tuple[int, ...], ...]:
+        blocks = [[] for _ in range(self.block_count)]
+        for k, c in enumerate(self.labels):
+            blocks[c].append(k)
+        return tuple(map(tuple, blocks))
 
     @property
     def blocks(self) -> tuple[tuple[Board, ...], ...]:
@@ -67,54 +70,39 @@ class OrbitPartition(NamedTuple):
 
     @property
     def block_count(self) -> int:
-        return len(self.numbers)
+        return max(self.labels) + 1
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(map(len, self.numbers))
+        return tuple(Counter(self.labels).values())  # labels first occur in order
 
     def block_of(self, b: Board) -> int:
         """Index of the block holding b; ValueError unless b is a valid board."""
         n = board_numbers().get(b.values)
         if n is None:
             raise ValueError(f"not a valid Shidoku board: {b.text}")
-        return [n in block for block in self.numbers].index(True)
+        return self.labels[n]
 
 
 @lru_cache(maxsize=1)
-def _orbits(generators: tuple[SymmetryElement, ...], kernel: frozenset[int]) -> OrbitPartition:
-    """The orbits of the group with these generators and relabel-only
-    kernel: the components of the generators on the kernel's blocks,
-    each expanded into its boards in one pass over the boards, so the
-    orbits come out sorted; with a trivial kernel the blocks are the
-    boards.  Generators with no position part lie in the kernel and are
-    skipped.  The last partition is kept, for is_complete right after
-    orbits; keyed by the generators and kernel, not the group, the cache
-    does not keep the group alive."""
-    numbers = [n for n in map(element_number, generators) if n >= RELABELINGS]
-    if len(kernel) == 1:
-        boards = components(len(enumerate_all()), [image(n) for n in numbers])
-        return OrbitPartition(tuple(map(tuple, boards)))
+def _orbits(generators: tuple[int, ...], kernel: frozenset[int]) -> OrbitPartition:
+    """The orbits of the group with these generator numbers and kernel:
+    each board labeled with its kernel block's component under the
+    generators with a position part.  The last partition is kept, for
+    is_complete right after orbits; keyed by generators and kernel, not
+    the group, the cache does not keep the group alive."""
     label, count, smallest, _ = _kernel_blocks(kernel)
     position, relabel = factor_tables()
     maps = [
         itemgetter(*itemgetter(*smallest(position.images[p]))(relabel.images[r]))(label)
-        for p, r in (divmod(n, RELABELINGS) for n in numbers)
+        for p, r in (divmod(n, RELABELINGS) for n in generators if n >= RELABELINGS)
     ]
-    quotient = components(count, maps)
-    component_of = [0] * count
-    for c, component in enumerate(quotient):
-        for i in component:
-            component_of[i] = c
-    blocks = [[] for _ in quotient]
-    for k, c in enumerate(itemgetter(*label)(component_of)):
-        blocks[c].append(k)
-    return OrbitPartition(tuple(map(tuple, blocks)))
+    return OrbitPartition(itemgetter(*label)(components(count, maps)))
 
 
 def orbits(g: SymmetryGroup) -> OrbitPartition:
     """Orbit partition of the 288 boards under g, labeled on its
     relabel-kernel blocks (_orbits)."""
-    return _orbits(g.generators, g.kernel)
+    return _orbits(g.generator_numbers, g.kernel)
 
 
 @lru_cache(maxsize=1)

@@ -159,7 +159,7 @@ def cmd_nest_graph(args) -> int:
     _, nest_graph, parse_token = _factor(args)
     named = [parse_token(token.strip()) for token in args.gens.split(",") if token.strip()]
     graph = nest_graph(named)
-    if args.dot:
+    if args.dot is not None:
         name = f"{args.factor}-nests[{','.join(n for n, _ in named)}]"
         Path(args.dot).write_text(export_nest_graph(graph, name))
     blocks = graph.components()
@@ -168,7 +168,7 @@ def cmd_nest_graph(args) -> int:
 
 
 def _read_pool(path: str | None, degree: int):
-    if not path:
+    if path is None:
         return None
     try:
         return parse_pool_file(Path(path).read_text(), degree)

@@ -12,7 +12,8 @@ from .action import Graph
 
 
 def _quote(s: str) -> str:
-    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    s = s.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n").replace("\r", "\\r")
+    return f'"{s}"'
 
 
 def _dot(graph: Graph, name: str) -> str:

@@ -15,11 +15,11 @@ x(b_i) = rho(b_j).
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 A group keeps that closure, a relabel part over each position part and
-the kernel; order, the factor tests, direct products, the action's
-orbit quotient and burnside's orbit counts read it, and the element
-numbers are built only when read, once per group.  A hand-built
-SymmetryGroup must be generated by its generators or, if given none, by
-its elements: anything else raises ValueError.
+the kernel, and its generators' numbers; order, the factor tests, direct
+products, the action's orbit quotient and burnside's orbit counts read
+it, and the element numbers are built only when read, once per group.
+A hand-built SymmetryGroup must be generated by its generators or, if
+given none, by its elements: anything else raises ValueError.
 """
 
 from __future__ import annotations
@@ -208,11 +208,11 @@ def _numbers(section: dict[int, int], kernel: frozenset[int]) -> frozenset[int]:
 
 
 class SymmetryGroup:
-    """A subgroup G of H4 x S4, stored as its closure and the generators
-    it was built from: section maps each position part p of G to one
-    relabel part over it, and kernel is K = {sigma : (1, sigma) in G}, so
-    G is every (p, section[p] * k), k in K.  Its element numbers are
-    built from these the first time they are read.
+    """A subgroup G of H4 x S4, stored as its closure and its generators'
+    numbers: section maps each position part p of G to one relabel part
+    over it, and kernel is K = {sigma : (1, sigma) in G}, so G is every
+    (p, section[p] * k), k in K.  Its element numbers are built when first
+    read, and its generators are decoded each time they are read.
 
     Built by hand, it raises ValueError unless the generators generate
     exactly the given elements; with no generators given, its sorted
@@ -220,12 +220,12 @@ class SymmetryGroup:
     generate and direct_product skip that check.
     """
 
-    __slots__ = ("section", "kernel", "generators", "_numbers")
+    __slots__ = ("section", "kernel", "generator_numbers", "_numbers")
 
     def __init__(self, elements: Iterable[SymmetryElement], generators: Iterable[SymmetryElement]):
         numbers = frozenset(map(element_number, elements))
-        self.generators = tuple(generators) or tuple(map(element, sorted(numbers)))
-        self.section, self.kernel = _closure(map(element_number, self.generators))
+        self.generator_numbers = tuple(map(element_number, generators)) or tuple(sorted(numbers))
+        self.section, self.kernel = _closure(self.generator_numbers)
         self._numbers = _numbers(self.section, self.kernel)
         if self._numbers != numbers:
             raise ValueError(
@@ -234,12 +234,16 @@ class SymmetryGroup:
 
     @classmethod
     def _trusted(
-        cls, section: dict[int, int], kernel: frozenset[int], generators: tuple[SymmetryElement, ...]
+        cls, section: dict[int, int], kernel: frozenset[int], generators: tuple[int, ...]
     ) -> "SymmetryGroup":
         """Unchecked group, for closures and products."""
         g = object.__new__(cls)
-        g.section, g.kernel, g.generators, g._numbers = section, kernel, generators, None
+        g.section, g.kernel, g.generator_numbers, g._numbers = section, kernel, generators, None
         return g
+
+    @property
+    def generators(self) -> tuple[SymmetryElement, ...]:
+        return tuple(map(element, self.generator_numbers))
 
     @property
     def numbers(self) -> frozenset[int]:
@@ -279,8 +283,8 @@ class SymmetryGroup:
 def generate(gens: Iterable[SymmetryElement]) -> SymmetryGroup:
     """Closure of the generators under composition.  Raises ValueError,
     as element_number does, on a generator outside H4 x S4."""
-    gens = tuple(gens)
-    return SymmetryGroup._trusted(*_closure(map(element_number, gens)), gens)
+    numbers = tuple(map(element_number, gens))
+    return SymmetryGroup._trusted(*_closure(numbers), numbers)
 
 
 def generate_position(perms: Iterable[Perm]) -> SymmetryGroup:
@@ -309,7 +313,7 @@ def direct_product(h: SymmetryGroup, s: SymmetryGroup) -> SymmetryGroup:
         raise ValueError("left factor must contain only position-only elements")
     if not s.is_relabel_only():
         raise ValueError("right factor must contain only relabel-only elements")
-    generators = h.generators + s.generators
+    generators = h.generator_numbers + s.generator_numbers
     return SymmetryGroup._trusted(dict.fromkeys(h.section, 0), s.kernel, generators)
 
 
@@ -326,7 +330,7 @@ def conjugacy_classes(g: SymmetryGroup) -> tuple[ConjugacyClass, ...]:
     """Conjugacy classes of g, ordered by minimal element; the
     representative of each class is its minimal element.  The classes
     are the components of conjugation by g's generators on g."""
-    conjugators = [(c, _inverse(c)) for c in map(element_number, g.generators)]
+    conjugators = [(c, _inverse(c)) for c in g.generator_numbers]
     edges = [(x, _product(_product(c, x), cinv)) for c, cinv in conjugators for x in g.numbers]
     return tuple(
         ConjugacyClass(element(block[0]), frozenset(map(element, block)))

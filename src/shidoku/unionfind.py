@@ -1,5 +1,5 @@
-"""Connected components: components labels blocks of int maps
-breadth-first, and graph_components numbers a graph's nodes for it.
+"""Connected components: components labels each node of int maps with its
+block, breadth-first, and graph_components groups a graph's nodes by it.
 UnionFind (canonical minimum representatives) has one user: bench/tracing.py.
 """
 
@@ -39,30 +39,30 @@ class UnionFind:
         return [sorted(grouped[rep]) for rep in sorted(grouped)]
 
 
-def components(size: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Blocks of range(size) that the maps join, sorted by their minimum,
-    members sorted within, as UnionFind.blocks sorts them.  Every map
-    must be a permutation of range(size): its inverse is one of its
-    powers, so following edges k -> m[k] forward reaches k's whole block."""
-    seen = [False] * size
-    blocks = []
+def components(size: int, maps: Sequence[Sequence[int]]) -> list[int]:
+    """Each node of range(size) labeled with its block under the maps,
+    blocks numbered by their smallest node.  Every map must be a
+    permutation of range(size): its inverse is one of its powers, so
+    following edges k -> m[k] forward reaches k's whole block."""
+    label = [-1] * size
+    count = 0
     for start in range(size):
-        if not seen[start]:
-            seen[start] = True
+        if label[start] < 0:
+            label[start] = count
             block = [start]
             for k in block:
                 for m in maps:
-                    if not seen[j := m[k]]:
-                        seen[j] = True
+                    if label[j := m[k]] < 0:
+                        label[j] = count
                         block.append(j)
-            blocks.append(sorted(block))
-    return blocks
+            count += 1
+    return label
 
 
 def graph_components(nodes: Iterable[T], edges: Sequence[tuple[T, T]]) -> list[list[T]]:
     """Components of a graph with one edge per (node, generator), listed
     generator by generator: each run of len(nodes) (src, dst) pairs is a
-    permutation of the nodes.  Sorted as components sorts, by node order.
+    permutation of the nodes.  Blocks and their members are in node order.
     Raises ValueError on an edge count that is not a multiple of
     len(nodes), on an endpoint that is not a node, or on a run that does
     not name every node once as a source and once as a target."""
@@ -81,4 +81,8 @@ def graph_components(nodes: Iterable[T], edges: Sequence[tuple[T, T]]) -> list[l
     for k, m in enumerate(maps, start=1):
         if sorted(m) != identity:
             raise ValueError(f"edge run {k} does not name each node once as source and target")
-    return [[order[k] for k in block] for block in components(n, maps)]
+    label = components(n, maps)
+    blocks: list[list[T]] = [[] for _ in range(max(label, default=-1) + 1)]
+    for x, c in zip(order, label):
+        blocks[c].append(x)
+    return blocks

@@ -8,8 +8,10 @@ from shidoku.board import Board, board_numbers, enumerate_all, validate
 from shidoku.perm import Perm, SymmetryElement, _cells, apply_batch, gen_r, gen_s, gen_t, relabeling
 from shidoku.group import (
     _kernel_blocks,
+    conjugacy_classes,
     direct_product,
     element,
+    element_number,
     generate,
     generate_position,
     generate_relabel,
@@ -217,6 +219,10 @@ def test_quotient_orbits_match_oracle_on_products_of_every_kernel_order(kernel):
         g = direct_product(generate_position(position_gens), rel)
         assert relabel_kernel(g) == rel.numbers
         assert_orbits_match_oracle(g, full_blocks)
+        # numbered by smallest board: labels first appear as 0, 1, 2, ...
+        labels = orbits(g).labels
+        assert len(labels) == 288
+        assert list(dict.fromkeys(labels)) == list(range(orbits(g).block_count))
 
 
 @pytest.mark.parametrize("kernel", [name for name in KERNELS if name != "1"])
@@ -269,7 +275,7 @@ def test_equal_groups_give_equal_partitions():
     assert a == b and a.generators != b.generators
     assert orbits(a) == orbits(b)
     assert hash(orbits(a)) == hash(orbits(b))
-    assert orbits(a) == OrbitPartition(orbits(b).numbers)
+    assert orbits(a) == OrbitPartition(orbits(b).labels)
     assert orbits(a) != orbits(named_group("rtxS4"))
 
 
@@ -300,11 +306,54 @@ def test_is_complete_after_orbits_labels_the_orbits_once(monkeypatch):
     part = orbits(g)
     assert is_complete(g) and is_complete(named_group("stxS4"))
     assert orbits(g) == part and len(calls) == 1
-    # the kept blocks are immutable
+    # the kept partition is immutable
+    assert type(part.labels) is tuple
     assert type(part.numbers) is tuple and all(type(block) is tuple for block in part.numbers)
     # a different group is labeled anew
     assert not is_complete(named_group("rtxS4"))
     assert len(calls) == 2
+
+
+def called_codes(run):
+    """The code objects of every Python function that run() calls."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
+
+
+def test_orbits_and_is_complete_number_no_element():
+    # a group keeps its generators as element numbers: labeling its orbits
+    # and judging it neither number nor decode an element, conjugacy
+    # classes number none, and a group built from elements alone decodes
+    # none into generators
+    full_partition()
+    rng = random.Random(28)
+    elements = full_group().sorted_elements()
+    groups = [generate(rng.sample(elements, 2)) for _ in range(6)]
+    groups += [named_group("stxS4"), trivial_group(), full_group()]
+
+    def label():
+        for g in groups:
+            action._orbits.cache_clear()
+            orbits(g), is_complete(g)
+
+    labeled = called_codes(label)
+    assert action._orbits.__wrapped__.__code__ in labeled
+    assert not labeled & {element_number.__code__, element.__code__}
+    conjugated = called_codes(lambda: conjugacy_classes(named_group("stxc123")))
+    assert element_number.__code__ not in conjugated
+    st = named_group("stxS4")
+    members = st.elements
+    assert element.__code__ not in called_codes(lambda: type(st)(members, ()))
 
 
 def test_search_counts_orbits_without_labeling_them():
@@ -318,17 +367,8 @@ def test_search_counts_orbits_without_labeling_them():
         tuple((f"x{k}", e.pos) for k, e in enumerate(positions)),
         tuple((f"s{k}", e.rel) for k, e in enumerate(relabelings)),
     )
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        results = search_products() + search_products(*seeded)
-    finally:
-        sys.setprofile(None)
+    results = []
+    called = called_codes(lambda: results.extend(search_products() + search_products(*seeded)))
     labelers = {components, is_complete, action._orbits.__wrapped__}
     assert search_products.__code__ in called
     assert not called & {f.__code__ for f in labelers}

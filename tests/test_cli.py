@@ -268,6 +268,24 @@ def test_os_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--position-pool", ""],
+        ["search", "--relabel-pool="],
+        ["nest-graph", "--factor", "s4", "--gens", "s,t", "--dot", ""],
+    ],
+    ids=["position-pool", "relabel-pool", "nest-graph-dot"],
+)
+def test_empty_path_options_exit_2_with_one_line(tmp_path, monkeypatch, capsys, argv):
+    # an empty path names no file: it is an error, not the default
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_unknown_position_generator(capsys):
     code, out, err = run(capsys, "nest-graph", "--factor", "s4", "--gens", "q")
     assert code == 2

@@ -103,9 +103,13 @@ def test_parse_dot_rejects_foreign_documents(text):
 
 
 def test_quoting_roundtrip():
-    dot = export_nest_graph(s4_nest_graph([("odd\"name", gen_t())]))
-    nodes, _ = parse_dot(dot)
-    assert len(nodes) == 12
+    # a quote, a line break in a label and one in the graph name: each
+    # statement stays on its one line
+    for label, name in [("odd\"name", "nests"), ("a\nb", "nests"), ("t", "n\nm")]:
+        dot = export_nest_graph(s4_nest_graph([(label, gen_t())]), name)
+        nodes, edges = parse_dot(dot)
+        assert len(nodes) == 12
+        assert len(edges) == 12 and dot.count("\n") == 1 + 12 + 12 + 1
 
 
 def test_orbit_and_nest_graphs_share_one_writer():

@@ -6,27 +6,36 @@ from shidoku.unionfind import components, graph_components
 from helpers import oracle_components
 
 
+def labels_of(blocks, size):
+    """Each node's index among the blocks."""
+    label = [None] * size
+    for c, block in enumerate(blocks):
+        for k in block:
+            label[k] = c
+    return label
+
+
 def test_components_without_maps_are_singletons():
     assert components(0, []) == []
-    assert components(4, []) == [[0], [1], [2], [3]]
+    assert components(4, []) == labels_of([[0], [1], [2], [3]], 4) == [0, 1, 2, 3]
 
 
 def test_components_of_identity_maps_are_singletons():
     identity = list(range(5))
-    assert components(5, [identity, identity]) == [[k] for k in range(5)]
+    assert components(5, [identity, identity]) == labels_of([[k] for k in range(5)], 5)
 
 
 def test_components_of_one_long_cycle_is_one_block():
     n = 1000
-    assert components(n, [[(k + 1) % n for k in range(n)]]) == [list(range(n))]
-    # the block is sorted even though the search reaches n-1 first
-    assert components(n, [[(k - 1) % n for k in range(n)]]) == [list(range(n))]
+    assert components(n, [[(k + 1) % n for k in range(n)]]) == labels_of([list(range(n))], n)
+    # one label even though the search reaches n-1 first
+    assert components(n, [[(k - 1) % n for k in range(n)]]) == labels_of([list(range(n))], n)
 
 
 def test_components_orders_blocks_by_minimum_and_members_within():
     # blocks {0, 3, 5}, {1, 4}, {2}; forward from 0 the search meets 5 before 3
     m = [5, 4, 2, 0, 1, 3]
-    assert components(6, [m]) == [[0, 3, 5], [1, 4], [2]]
+    assert components(6, [m]) == labels_of([[0, 3, 5], [1, 4], [2]], 6) == [0, 1, 2, 0, 1, 0]
 
 
 def test_components_match_the_edge_oracle_on_random_permutations():
@@ -43,7 +52,7 @@ def test_components_match_the_edge_oracle_on_random_permutations():
                 m[src] = dst
             maps.append(m)
         edges = [(k, j) for m in maps for k, j in enumerate(m)]
-        assert components(size, maps) == oracle_components(range(size), edges)
+        assert components(size, maps) == labels_of(oracle_components(range(size), edges), size)
 
 
 def test_graph_components_maps_edges_by_position_in_node_order():
