@@ -7,18 +7,17 @@ apply(a * b, board) == apply(a, apply(b, board)).
 
 Orbits are labeled on a quotient.  The relabel-only kernel
 K = {sigma : (1, sigma) in G}, which G keeps from its closure, is normal
-in G, and relabelings act freely, so the K-orbits are blocks of |K|
-boards each (for K = S4, the 12 value nests) and G's orbits are the
-components of its generators acting on those blocks; generators in K fix
-every block and are skipped.  A partition labels each board with its
-block's component, in one place, for every kernel; a group is complete
-iff its orbits are the full group's, and an orbit count alone is
-burnside.burnside_orbit_count's, which labels nothing.
+in G, and relabelings act freely, so the K-orbits are blocks of |K| boards
+each (for K = S4, the 12 value nests) and G's orbits are the components
+of its generators acting on those blocks; generators in K fix every block
+and are skipped.  One pass, for every kernel, labels each board with its
+block's component and sizes each orbit, |K| boards per block it counts; a
+group is complete iff its orbits are the full group's, and an orbit count
+alone is burnside.burnside_orbit_count's, which labels nothing.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from operator import itemgetter
 from typing import Hashable, Iterable, NamedTuple
@@ -51,14 +50,15 @@ def is_position_symmetry(x: Perm) -> bool:
 
 class OrbitPartition(NamedTuple):
     """Partition of the 288 boards into orbits: labels[k] is the index of
-    board k's orbit, orbits numbered by their smallest board, so two
-    partitions are equal iff they chop the boards the same way."""
+    board k's orbit, orbits numbered by their smallest board, orbit_sizes[c]
+    orbit c's board count; two partitions are equal iff their labels are."""
 
     labels: tuple[int, ...]
+    orbit_sizes: tuple[int, ...]
 
     @property
     def numbers(self) -> tuple[tuple[int, ...], ...]:
-        blocks = [[] for _ in range(self.block_count)]
+        blocks = [[] for _ in self.orbit_sizes]
         for k, c in enumerate(self.labels):
             blocks[c].append(k)
         return tuple(map(tuple, blocks))
@@ -70,33 +70,33 @@ class OrbitPartition(NamedTuple):
 
     @property
     def block_count(self) -> int:
-        return max(self.labels) + 1
+        return len(self.orbit_sizes)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(Counter(self.labels).values())  # labels first occur in order
+        return self.orbit_sizes
 
     def block_of(self, b: Board) -> int:
         """Index of the block holding b; ValueError unless b is a valid board."""
-        n = board_numbers().get(b.values)
-        if n is None:
+        if (n := board_numbers().get(b.values)) is None:
             raise ValueError(f"not a valid Shidoku board: {b.text}")
         return self.labels[n]
 
 
 @lru_cache(maxsize=1)
 def _orbits(generators: tuple[int, ...], kernel: frozenset[int]) -> OrbitPartition:
-    """The orbits of the group with these generator numbers and kernel:
-    each board labeled with its kernel block's component under the
-    generators with a position part.  The last partition is kept, for
-    is_complete right after orbits; keyed by generators and kernel, not
-    the group, the cache does not keep the group alive."""
+    """The orbits of the group with these generator numbers and kernel K:
+    each board labeled with its K-block's component under the generators
+    with a position part, and each orbit sized, |K| boards per block.  The
+    last partition is kept, for is_complete right after orbits; keyed by
+    generators and kernel, not the group, it does not keep the group alive."""
     label, count, smallest, _ = _kernel_blocks(kernel)
     position, relabel = factor_tables()
     maps = [
         itemgetter(*itemgetter(*smallest(position.images[p]))(relabel.images[r]))(label)
         for p, r in (divmod(n, RELABELINGS) for n in generators if n >= RELABELINGS)
     ]
-    return OrbitPartition(itemgetter(*label)(components(count, maps)))
+    labels, counts = components(count, maps)
+    return OrbitPartition(itemgetter(*label)(labels), tuple(c * len(kernel) for c in counts))
 
 
 def orbits(g: SymmetryGroup) -> OrbitPartition:

@@ -1,5 +1,5 @@
 """Connected components: components labels each node of int maps with its
-block, breadth-first, and graph_components groups a graph's nodes by it.
+block, breadth-first, counting each block's nodes; graph_components groups by it.
 UnionFind (canonical minimum representatives) has one user: bench/tracing.py.
 """
 
@@ -39,24 +39,24 @@ class UnionFind:
         return [sorted(grouped[rep]) for rep in sorted(grouped)]
 
 
-def components(size: int, maps: Sequence[Sequence[int]]) -> list[int]:
+def components(size: int, maps: Sequence[Sequence[int]]) -> tuple[list[int], list[int]]:
     """Each node of range(size) labeled with its block under the maps,
-    blocks numbered by their smallest node.  Every map must be a
-    permutation of range(size): its inverse is one of its powers, so
-    following edges k -> m[k] forward reaches k's whole block."""
+    blocks numbered by their smallest node, and each block's node count.
+    Every map must be a permutation of range(size): its inverse is one of
+    its powers, so edges k -> m[k] followed forward reach k's whole block."""
     label = [-1] * size
-    count = 0
+    counts: list[int] = []
     for start in range(size):
         if label[start] < 0:
-            label[start] = count
+            count = label[start] = len(counts)
             block = [start]
             for k in block:
                 for m in maps:
                     if label[j := m[k]] < 0:
                         label[j] = count
                         block.append(j)
-            count += 1
-    return label
+            counts.append(len(block))
+    return label, counts
 
 
 def graph_components(nodes: Iterable[T], edges: Sequence[tuple[T, T]]) -> list[list[T]]:
@@ -81,8 +81,8 @@ def graph_components(nodes: Iterable[T], edges: Sequence[tuple[T, T]]) -> list[l
     for k, m in enumerate(maps, start=1):
         if sorted(m) != identity:
             raise ValueError(f"edge run {k} does not name each node once as source and target")
-    label = components(n, maps)
-    blocks: list[list[T]] = [[] for _ in range(max(label, default=-1) + 1)]
+    label, counts = components(n, maps)
+    blocks: list[list[T]] = [[] for _ in counts]
     for x, c in zip(order, label):
         blocks[c].append(x)
     return blocks

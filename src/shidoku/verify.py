@@ -82,7 +82,7 @@ def check_full_orbits() -> None:
     """The full group splits the boards into orbits of 96 and 192, separating
     the two representative boards."""
     part = full_partition()
-    expect(part.sizes() == (96, 192), f"full orbit sizes {part.sizes()} != (96, 192)")
+    expect((sizes := part.sizes()) == (96, 192), f"full orbit sizes {sizes} != (96, 192)")
     b1 = Board.from_text(TYPE1_REPRESENTATIVE)
     b2 = Board.from_text(TYPE2_REPRESENTATIVE)
     expect(

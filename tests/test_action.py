@@ -189,7 +189,9 @@ def relabel_kernel(g):
 def assert_orbits_match_oracle(g, full_blocks):
     want = oracle_orbits(g.generators)
     part = orbits(g)
-    assert list(part.blocks) == sorted(tuple(sorted(block)) for block in want)
+    want_blocks = sorted(tuple(sorted(block)) for block in want)
+    assert list(part.blocks) == want_blocks
+    assert part.sizes() == tuple(map(len, want_blocks))
     assert burnside_orbit_count(g) == part.block_count
     action._orbits.cache_clear()
     assert is_complete(g) == (want == full_blocks)
@@ -275,7 +277,7 @@ def test_equal_groups_give_equal_partitions():
     assert a == b and a.generators != b.generators
     assert orbits(a) == orbits(b)
     assert hash(orbits(a)) == hash(orbits(b))
-    assert orbits(a) == OrbitPartition(orbits(b).labels)
+    assert orbits(a) == OrbitPartition(orbits(b).labels, orbits(b).orbit_sizes)
     assert orbits(a) != orbits(named_group("rtxS4"))
 
 
@@ -354,6 +356,19 @@ def test_orbits_and_is_complete_number_no_element():
     st = named_group("stxS4")
     members = st.elements
     assert element.__code__ not in called_codes(lambda: type(st)(members, ()))
+
+
+def test_orbit_sizes_and_count_are_read_not_counted():
+    # the labeling pass sizes the orbits: reading them calls no function
+    for g in (full_group(), named_group("rtxS4"), trivial_group()):
+        part = orbits(g)
+
+        def read():
+            return part.sizes(), part.block_count
+
+        readers = {OrbitPartition.sizes.__code__, OrbitPartition.block_count.fget.__code__}
+        assert called_codes(read) == {read.__code__, *readers}
+        assert read() == (tuple(map(len, part.numbers)), len(part.numbers))
 
 
 def test_search_counts_orbits_without_labeling_them():

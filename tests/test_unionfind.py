@@ -16,26 +16,36 @@ def labels_of(blocks, size):
 
 
 def test_components_without_maps_are_singletons():
-    assert components(0, []) == []
-    assert components(4, []) == labels_of([[0], [1], [2], [3]], 4) == [0, 1, 2, 3]
+    assert components(0, []) == ([], [])
+    label, counts = components(4, [])
+    assert label == labels_of([[0], [1], [2], [3]], 4) == [0, 1, 2, 3]
+    assert counts == [1, 1, 1, 1]
 
 
 def test_components_of_identity_maps_are_singletons():
     identity = list(range(5))
-    assert components(5, [identity, identity]) == labels_of([[k] for k in range(5)], 5)
+    label, counts = components(5, [identity, identity])
+    assert label == labels_of([[k] for k in range(5)], 5)
+    assert counts == [1] * 5
 
 
 def test_components_of_one_long_cycle_is_one_block():
     n = 1000
-    assert components(n, [[(k + 1) % n for k in range(n)]]) == labels_of([list(range(n))], n)
+    label, counts = components(n, [[(k + 1) % n for k in range(n)]])
+    assert label == labels_of([list(range(n))], n)
+    assert counts == [n]
     # one label even though the search reaches n-1 first
-    assert components(n, [[(k - 1) % n for k in range(n)]]) == labels_of([list(range(n))], n)
+    label, counts = components(n, [[(k - 1) % n for k in range(n)]])
+    assert label == labels_of([list(range(n))], n)
+    assert counts == [n]
 
 
 def test_components_orders_blocks_by_minimum_and_members_within():
     # blocks {0, 3, 5}, {1, 4}, {2}; forward from 0 the search meets 5 before 3
     m = [5, 4, 2, 0, 1, 3]
-    assert components(6, [m]) == labels_of([[0, 3, 5], [1, 4], [2]], 6) == [0, 1, 2, 0, 1, 0]
+    label, counts = components(6, [m])
+    assert label == labels_of([[0, 3, 5], [1, 4], [2]], 6) == [0, 1, 2, 0, 1, 0]
+    assert counts == [3, 2, 1]
 
 
 def test_components_match_the_edge_oracle_on_random_permutations():
@@ -52,7 +62,10 @@ def test_components_match_the_edge_oracle_on_random_permutations():
                 m[src] = dst
             maps.append(m)
         edges = [(k, j) for m in maps for k, j in enumerate(m)]
-        assert components(size, maps) == labels_of(oracle_components(range(size), edges), size)
+        blocks = oracle_components(range(size), edges)
+        label, counts = components(size, maps)
+        assert label == labels_of(blocks, size)
+        assert counts == list(map(len, blocks))
 
 
 def test_graph_components_maps_edges_by_position_in_node_order():
