@@ -29,8 +29,6 @@ from .group import (
 from .perm import Perm, SymmetryElement, apply_values, perm_label, standard_name
 from .unionfind import components, graph_components
 
-NamedElement = tuple[str, SymmetryElement]
-
 
 def apply(e: SymmetryElement, b: Board) -> Board:
     """Act on a board: move cells by e.pos, then rename values by e.rel."""
@@ -148,23 +146,16 @@ class Graph(NamedTuple):
         return len(self.components())
 
 
-def orbit_graph(gens: Iterable[NamedElement | SymmetryElement]) -> Graph:
-    """Graph with one node per board and one labeled edge per
-    (board, generator), read off the generator's board image.
-
-    Generators may be (label, element) pairs or bare elements, which get
-    default labels; one outside H4 x S4 raises element_number's ValueError.
-    """
+def orbit_graph(gens: Iterable[SymmetryElement]) -> Graph:
+    """Graph with one node per board and one edge per (board, generator),
+    read off the generator's board image and labeled element_label(g);
+    a generator outside H4 x S4 raises element_number's ValueError."""
     boards = enumerate_all()
-    named = tuple(
-        (element_label(g), g) if isinstance(g, SymmetryElement) else (g[0], g[1])
-        for g in gens
-    )
     edges = []
-    for name, e in named:
-        directed = not (e * e).is_identity
+    for e in gens:
+        label, directed = element_label(e), not (e * e).is_identity
         moved = image(element_number(e))
-        edges.extend(Edge(b, boards[k], name, directed) for b, k in zip(boards, moved))
+        edges.extend(Edge(b, boards[k], label, directed) for b, k in zip(boards, moved))
     return Graph(boards, tuple(edges))
 
 
@@ -175,8 +166,3 @@ def element_label(e: SymmetryElement) -> str:
         return perm_label(e.rel)
     name = standard_name(e.pos) if e.rel.is_identity else None
     return name or str(e)
-
-
-def named_generators(g: SymmetryGroup) -> tuple[NamedElement, ...]:
-    """A group's generators with their default edge labels."""
-    return tuple((element_label(e), e) for e in g.generators)

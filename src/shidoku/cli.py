@@ -28,7 +28,7 @@ from .group import (
     named_group,
     parse_group_description,
 )
-from .action import is_position_symmetry, named_generators, orbit_graph, orbits
+from .action import element_label, is_position_symmetry, orbit_graph, orbits
 from .burnside import burnside_orbit_count, invariance_table
 from .graphio import export_nest_graph, export_orbit_graph
 from .nests import h4_nest_graph, h4_nests, s4_nest_graph, s4_nests
@@ -67,25 +67,24 @@ def resolve_group(spec: str) -> SymmetryGroup:
     )
 
 
-def _parse_relabel_token(token: str) -> tuple[str, Perm]:
-    """Relabeling cycle token, with its label; digits may be packed, e.g. '(123)' == '(1 2 3)'.
+def _parse_relabel_token(token: str) -> Perm:
+    """The relabeling a cycle token names; digits may be packed, e.g. '(123)' == '(1 2 3)'.
     Only a token of whole packed cycles is unpacked: any other goes to
     Perm.from_cycles as given, which rejects malformed notation."""
     text = token.strip()
     if re.fullmatch(r"(\(\d*\))+", text):
         text = "".join("(" + " ".join(part) + ")" for part in re.findall(r"\((\d*)\)", text))
     try:
-        perm = Perm.from_cycles(text, 4)
+        return Perm.from_cycles(text, 4)
     except ValueError as exc:
         raise CliError(f"bad relabeling token {token!r}: {exc}") from exc
-    return perm_label(perm), perm
 
 
-def _parse_position_token(token: str) -> tuple[str, Perm]:
+def _parse_position_token(token: str) -> Perm:
     standard = dict(standard_position_generators())
     if token not in standard:
         raise CliError(f"unknown position generator {token!r}; use {', '.join(standard)}")
-    return token, standard[token]
+    return standard[token]
 
 
 def _factor(args):
@@ -157,10 +156,10 @@ def cmd_nests(args) -> int:
 
 def cmd_nest_graph(args) -> int:
     _, nest_graph, parse_token = _factor(args)
-    named = [parse_token(token.strip()) for token in args.gens.split(",") if token.strip()]
-    graph = nest_graph(named)
+    gens = [parse_token(token.strip()) for token in args.gens.split(",") if token.strip()]
+    graph = nest_graph(gens)
     if args.dot is not None:
-        name = f"{args.factor}-nests[{','.join(n for n, _ in named)}]"
+        name = f"{args.factor}-nests[{','.join(map(perm_label, gens))}]"
         Path(args.dot).write_text(export_nest_graph(graph, name))
     blocks = graph.components()
     payload = {"components": len(blocks), "blocks": blocks}
@@ -204,11 +203,9 @@ def cmd_search(args) -> int:
 
 
 def cmd_export(args) -> int:
-    g = resolve_group(args.group)
-    named = named_generators(g)
-    graph = orbit_graph(named)
-    name = f"orbits[{','.join(n for n, _ in named)}]"
-    Path(args.dot).write_text(export_orbit_graph(graph, name))
+    gens = resolve_group(args.group).generators
+    name = f"orbits[{','.join(map(element_label, gens))}]"
+    Path(args.dot).write_text(export_orbit_graph(orbit_graph(gens), name))
     return 0
 
 

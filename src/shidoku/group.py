@@ -4,14 +4,16 @@ conjugacy classes.
 Every group is a subgroup of H4 x S4 (order 3072), so its elements are
 numbered: position symmetry x and relabeling sigma by their places in
 sorted order, the element (x, sigma) as x * 24 + sigma, so numbers sort
-as SymmetryElements do.  The numbering is read only through this
-module's tables: factor_tables() multiplies numbers and moves board
-numbers, image(n) moves board numbers as element n does,
-_kernel_blocks(K) gives each board's orbit under a relabel-only kernel K
-and the relabeling in K taking the orbit's smallest board to it (for
-K = S4, the boards' value-nest coordinates), and cocycle() tables from
-these how each position symmetry moves the value nests,
-x(b_i) = rho(b_j).
+as SymmetryElements do.  Only this module turns elements into numbers
+and back.  Other modules split a number into its factor places,
+divmod(n, RELABELINGS), themselves (action._orbits, burnside's fixed and
+invariant counts), and read everything else through this module's
+tables: factor_tables() multiplies numbers and moves board numbers,
+image(n) moves board numbers as element n does, _kernel_blocks(K)
+gives each board's orbit under a relabel-only kernel K and the
+relabeling in K taking the orbit's smallest board to it (for K = S4,
+the boards' value-nest coordinates), and cocycle() tables from these
+how each position symmetry moves the value nests, x(b_i) = rho(b_j).
 Closure walks position parts only (at most 128), one coset of the
 relabel-only kernel each, and closes that kernel in the 24 x 24 table.
 A group keeps that closure, a relabel part over each position part and
@@ -406,8 +408,9 @@ def parse_group_description(text: str) -> list[SymmetryElement]:
         ...
 
     Empty cycle strings denote identities.  Raises ValueError on
-    malformed input.  Callers feeding user input should additionally
-    check each position part with action.is_position_symmetry.
+    malformed input.  generate rejects a position part outside H4 with
+    element_number's one-line ValueError; cli checks each one first with
+    action.is_position_symmetry only to word its own message.
     """
     lines = [line.strip() for line in text.split("\n")]
     lines = [line for line in lines if line and not line.startswith("#")]

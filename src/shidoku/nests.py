@@ -10,7 +10,7 @@ value < the cell-5 value.  A nest-graph edge follows one rule for both
 factors: the generator moves a nest's representative to a board, the
 edge's target is the nest represented by that board's canonical form,
 and its aux is the transform the canonicalizer applied, run once per
-board (_s4_canonical, _h4_canonical).  So the graphs read the
+board and factor (_canonical).  So the graphs read the
 canonicalizers and not the orbits' tables; the tests check the two
 against each other.
 """
@@ -90,12 +90,6 @@ def s4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
     return Board(apply_values(SymmetryElement.from_relabeling(sigma), b.values)), sigma
 
 
-@lru_cache(maxsize=288)
-def _s4_canonical(k: int) -> tuple[Board, Perm]:
-    """s4_canonicalize_with_transform of board number k, once per board."""
-    return s4_canonicalize_with_transform(enumerate_all()[k])
-
-
 def s4_canonicalize(b: Board) -> Board:
     """The unique relabeling of b whose upper-left block reads 1,2 / 3,4."""
     return s4_canonicalize_with_transform(b)[0]
@@ -132,15 +126,15 @@ def h4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
     return Board(values), transform
 
 
-@lru_cache(maxsize=288)
-def _h4_canonical(k: int) -> tuple[Board, Perm]:
-    """h4_canonicalize_with_transform of board number k, once per board."""
-    return h4_canonicalize_with_transform(enumerate_all()[k])
-
-
 def h4_canonicalize(b: Board) -> Board:
     """Canonical representative of b's position-orbit."""
     return h4_canonicalize_with_transform(b)[0]
+
+
+@lru_cache(maxsize=2 * 288)
+def _canonical(canonicalize: Callable[[Board], tuple[Board, Perm]], k: int) -> tuple[Board, Perm]:
+    """canonicalize(board number k), once per board and canonicalizer."""
+    return canonicalize(enumerate_all()[k])
 
 
 def _nests(
@@ -175,82 +169,76 @@ def s4_nest_of(b: Board) -> str:
     """The label of the value nest holding b: that of its canonical form."""
     if (k := board_numbers().get(b.values)) is None:
         raise ValueError(f"not a valid Shidoku board: {b.text}")
-    form = _s4_canonical(k)[0]
+    form = _canonical(s4_canonicalize_with_transform, k)[0]
     return next(n.label for n in s4_nests() if n.representative == form)
 
 
-def _named(gens: Iterable, degree: int) -> tuple[tuple[str, Perm], ...]:
-    """Normalize generators to (name, perm) pairs of the wanted degree."""
-    named = tuple((perm_label(g), g) if isinstance(g, Perm) else (g[0], g[1]) for g in gens)
-    for name, p in named:
-        if p.degree != degree:
-            raise ValueError(f"generator {name!r} has degree {p.degree}, want {degree}")
-    return named
-
-
 def _nest_graph(
-    gens: Iterable,
+    gens: Iterable[Perm],
     degree: int,
     factor_nests: Callable[[], tuple[Nest, ...]],
     element: Callable[[Perm], SymmetryElement],
-    canonical: Callable[[int], tuple[Board, Perm]],
+    canonicalize: Callable[[Board], tuple[Board, Perm]],
 ) -> NestGraph:
-    """Induced action of one factor's generators on the other factor's
-    nests, factor_nests(): each representative moves by element(g)'s
-    board image to a board k, and canonical(k) = (form, fix) gives the
-    edge's target, the nest that form represents, and its aux, fix.
+    """Induced action of one factor's generators, each of the given degree,
+    on the other factor's nests, factor_nests(): each representative moves
+    by element(g)'s board image to a board k, and _canonical(canonicalize,
+    k) = (form, fix) gives the edge's target, the nest that form
+    represents, and its aux, fix; the edge's label is perm_label(g).
     element_number rejects a generator outside H4 x S4."""
     nests = factor_nests()
     reps = [board_numbers()[n.representative.values] for n in nests]
     label = {n.representative: n.label for n in nests}
     edges = []
-    for name, g in _named(gens, degree):
-        directed = not (g * g).is_identity
+    for g in gens:
+        if g.degree != degree:
+            raise ValueError(f"generator {perm_label(g)!r} has degree {g.degree}, want {degree}")
+        name, directed = perm_label(g), not (g * g).is_identity
         moved = image(element_number(element(g)))
         for n, rep in zip(nests, reps):
-            form, fix = canonical(moved[rep])
+            form, fix = _canonical(canonicalize, moved[rep])
             aux = None if fix.is_identity else fix
             edges.append(Edge(n.label, label[form], name, directed, aux))
     return NestGraph(tuple(n.label for n in nests), tuple(edges), nests)
 
 
-def s4_nest_graph(gens: Iterable) -> NestGraph:
+def s4_nest_graph(gens: Iterable[Perm]) -> NestGraph:
     """Induced action of position generators on the twelve value nests.
 
     Each edge records the relabeling needed to return the moved
     representative to canonical form.
     """
-    return _nest_graph(gens, 16, s4_nests, SymmetryElement.from_position, _s4_canonical)
+    return _nest_graph(
+        gens, 16, s4_nests, SymmetryElement.from_position, s4_canonicalize_with_transform
+    )
 
 
-def h4_nest_graph(gens: Iterable) -> NestGraph:
+def h4_nest_graph(gens: Iterable[Perm]) -> NestGraph:
     """Induced action of relabeling generators on the six position nests.
 
     Each edge records the position symmetry needed to return the moved
     representative to canonical form.
     """
-    return _nest_graph(gens, 4, h4_nests, SymmetryElement.from_relabeling, _h4_canonical)
+    return _nest_graph(
+        gens, 4, h4_nests, SymmetryElement.from_relabeling, h4_canonicalize_with_transform
+    )
 
 
-def completeness_via_nests(gens: Iterable) -> bool:
+def completeness_via_nests(gens: Iterable[Perm]) -> bool:
     """Completeness read off a nest graph.
 
-    Degree-16 generators are taken as position generators acting on the
-    value nests (testing <gens> x all-relabelings); degree-4 generators
-    act on the position nests (testing all-position-symmetries x <gens>).
-    True iff the graph has exactly two components: its components are
-    the orbits of a subgroup of the full group, gathered into nests, so
-    they refine the full group's two orbits, the Type 1 and Type 2
-    classes, and two components are those classes.
+    The generators are bare Perms.  Degree-16 ones are taken as position
+    generators acting on the value nests (testing <gens> x
+    all-relabelings), degree-4 ones act on the position nests (testing
+    all-position-symmetries x <gens>), and none gives False.  True iff
+    the graph has exactly two components: its components are the orbits
+    of a subgroup of the full group, gathered into nests, so they refine
+    the full group's two orbits, the Type 1 and Type 2 classes, and two
+    components are those classes.
     """
     gens = list(gens)
-    if not gens:
-        return False
-    degrees = {g.degree if isinstance(g, Perm) else g[1].degree for g in gens}
-    if degrees == {16}:
-        graph = s4_nest_graph(gens)
-    elif degrees == {4}:
-        graph = h4_nest_graph(gens)
-    else:
+    degrees = {g.degree for g in gens}
+    if degrees not in ({16}, {4}, set()):
         raise ValueError("generators must be all degree 16 or all degree 4")
-    return len(graph.components()) == 2
+    nest_graph = s4_nest_graph if degrees == {16} else h4_nest_graph
+    return bool(gens) and len(nest_graph(gens).components()) == 2

@@ -1,8 +1,9 @@
 """End-to-end reproduction checks for the package's headline results.
 
-This is the only place the paper's results are asserted; the unit tests
+This is where the paper's results are asserted together; the unit tests
 check implementation properties (parsers, error paths, oracle
-comparisons, algebraic laws) and do not repeat these facts.  Each check
+comparisons, algebraic laws), and a few of them pin one of these facts
+again as such a test's expected value.  Each check
 is exact (integer counts, set equality); there are no tolerances
 anywhere.  The CLI `verify` subcommand and the acceptance test module
 both run this list.
@@ -38,7 +39,7 @@ from .group import (
     position_group,
     relabel_group,
 )
-from .action import apply, apply_values, full_partition, is_complete, named_generators, orbit_graph, orbits
+from .action import apply, apply_values, full_partition, is_complete, orbit_graph, orbits
 from .burnside import (
     _fixing_rules,
     burnside_orbit_count,
@@ -359,18 +360,17 @@ def check_pinned_examples() -> None:
         "full position group table does not have 20 conjugacy-class rows",
     )
 
-    graph = orbit_graph(named_generators(full_group()))
+    graph = orbit_graph(full_group().generators)
     expect(
         sorted(len(c) for c in graph.components()) == [96, 192],
         "full orbit graph components are not 96 and 192 boards",
     )
-    rt_s4 = named_group("rtxS4")
     expect(
-        orbit_graph(named_generators(rt_s4)).component_count == 5,
+        orbit_graph(named_group("rtxS4").generators).component_count == 5,
         "<r,t> x S4 orbit graph does not have 5 components",
     )
     expect(
-        orbit_graph(named_generators(position_group())).component_count == 6,
+        orbit_graph(position_group().generators).component_count == 6,
         "position-only orbit graph does not have 6 components",
     )
 

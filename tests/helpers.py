@@ -1,6 +1,7 @@
 """The tests' adapters over the benchmark's slow oracle, their reader of
 exported DOT text, their writer of group description files, their check
-of the fixing rules on one invariant board, and the boards they pin.
+of the fixing rules on one invariant board, their record of the
+functions a call runs, and the boards they pin.
 
 bench/oracle.py is the one slow oracle: it rebuilds the boards, the
 position group, the action, closure and orbits from the definitions and
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import importlib.util
 import re
+import sys
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable
@@ -211,6 +213,22 @@ def oracle_components(nodes, edges) -> list[list]:
 def dot_component_count(text: str) -> int:
     """Weakly connected component count of a parsed DOT document."""
     return len(oracle_components(*parse_dot(text)))
+
+
+def called_codes(run):
+    """The code objects of every Python function that run() calls."""
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return called
 
 
 # Pinned boards used across the tests (row strings joined row-major).

@@ -1,5 +1,4 @@
 import random
-import sys
 from itertools import combinations
 
 import pytest
@@ -26,10 +25,10 @@ from shidoku.action import (
     OrbitPartition,
     apply,
     apply_values,
+    element_label,
     full_partition,
     is_complete,
     is_position_symmetry,
-    named_generators,
     orbit_graph,
     orbits,
 )
@@ -40,6 +39,7 @@ from shidoku.unionfind import components
 from helpers import (
     TYPE1_TEXT,
     TYPE2_TEXT,
+    called_codes,
     oracle_apply,
     oracle_components,
     oracle_orbits,
@@ -316,22 +316,6 @@ def test_is_complete_after_orbits_labels_the_orbits_once(monkeypatch):
     assert len(calls) == 2
 
 
-def called_codes(run):
-    """The code objects of every Python function that run() calls."""
-    called = set()
-
-    def profile(frame, event, arg):
-        if event == "call":
-            called.add(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        run()
-    finally:
-        sys.setprofile(None)
-    return called
-
-
 def test_orbits_and_is_complete_number_no_element():
     # a group keeps its generators as element numbers: labeling its orbits
     # and judging it neither number nor decode an element, conjugacy
@@ -468,7 +452,7 @@ def test_orbit_sizes_divide_group_order():
 
 def test_orbit_graph_components_match_orbits():
     g = full_group()
-    graph = orbit_graph(named_generators(g))
+    graph = orbit_graph(g.generators)
     components = {frozenset(c) for c in graph.components()}
     assert components == {frozenset(b) for b in full_partition().blocks}
     assert len(graph.edges) == 288 * len(g.generators)
@@ -478,10 +462,10 @@ def test_orbit_graph_components_match_oracle_in_order():
     t = SymmetryElement.from_position(gen_t())
     c123 = SymmetryElement.from_relabeling(relabeling("(1 2 3)"))
     for gens in (
-        named_generators(full_group()),
-        named_generators(generate_position([gen_r(), gen_t()])),
-        # two generators under one label still give two maps
-        [("x", t), ("x", c123)],
+        full_group().generators,
+        generate_position([gen_r(), gen_t()]).generators,
+        # the same generator twice, under one label, still gives two maps
+        [t, c123, t],
         [c123],
     ):
         graph = orbit_graph(gens)
@@ -491,18 +475,19 @@ def test_orbit_graph_components_match_oracle_in_order():
 
 def test_orbit_graph_edges_match_the_action_oracle():
     mixed = SymmetryElement(gen_r(), relabeling("(1 2 4)"))
-    graph = orbit_graph([("m", mixed), *named_generators(full_group())])
-    named = dict(named_generators(full_group()), m=mixed)
-    assert len(graph.edges) == 288 * 8
+    gens = (mixed, *full_group().generators)
+    graph = orbit_graph(gens)
+    by_label = {element_label(e): e for e in gens}
+    assert len(by_label) == len(gens) and len(graph.edges) == 288 * 8
     for edge in graph.edges:
-        assert edge.dst.values == oracle_apply(named[edge.label], edge.src.values)
+        assert edge.dst.values == oracle_apply(by_label[edge.label], edge.src.values)
 
 
 def test_orbit_graph_rejects_elements_outside_the_full_group():
     swap12 = SymmetryElement.from_position(Perm.from_cycles("(1 2)", 16))
     message = r"^symmetry pos=\(1 2\); rel= moves a board to \d{16}, not a valid board$"
     with pytest.raises(ValueError, match=message):
-        orbit_graph([("x", swap12)])
+        orbit_graph([swap12])
 
 
 def test_orbit_graph_empty_generators():
@@ -512,7 +497,7 @@ def test_orbit_graph_empty_generators():
 
 
 def test_orbit_graph_involution_edges_marked_undirected():
-    graph = orbit_graph(named_generators(full_group()))
+    graph = orbit_graph(full_group().generators)
     directed_labels = {e.label for e in graph.edges if e.directed}
     assert directed_labels == {"r"}
 
@@ -570,7 +555,8 @@ def test_position_symmetries_are_exactly_the_generated_group():
     assert all(map(is_position_symmetry, preserving))
 
 
-def test_named_generators_labels():
-    g = full_group()
-    names = [name for name, _ in named_generators(g)]
-    assert names == ["r", "s", "t", "(1 2)", "(2 3)", "(3 4)", "(1 4)"]
+def test_orbit_graph_edges_carry_element_labels():
+    graph = orbit_graph(full_group().generators)
+    labels = [e.label for e in graph.edges[::288]]
+    assert labels == ["r", "s", "t", "(1 2)", "(2 3)", "(3 4)", "(1 4)"]
+    assert labels == list(map(element_label, full_group().generators))

@@ -319,7 +319,7 @@ def test_malformed_packed_relabel_token(capsys, token):
     "token, cycles", [("(123)", "(1 2 3)"), ("(12)(34)", "(1 2)(3 4)"), ("()", ""), ("(1 2)", "(1 2)")]
 )
 def test_packed_relabel_tokens_parse(token, cycles):
-    assert cli._parse_relabel_token(token)[1] == Perm.from_cycles(cycles, 4)
+    assert cli._parse_relabel_token(token) == Perm.from_cycles(cycles, 4)
 
 
 def test_usage_error_exit_code(capsys):

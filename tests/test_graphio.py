@@ -2,14 +2,14 @@ import pytest
 
 from shidoku.perm import gen_r, gen_s, gen_t, relabeling
 from shidoku.group import direct_product, full_group, generate_position, relabel_group
-from shidoku.action import named_generators, orbit_graph
+from shidoku.action import orbit_graph
 from shidoku.graphio import export_nest_graph, export_orbit_graph
 from shidoku.nests import h4_nest_graph, s4_nest_graph
 from helpers import dot_component_count, parse_dot
 
 
 def test_full_orbit_graph_dot():
-    graph = orbit_graph(named_generators(full_group()))
+    graph = orbit_graph(full_group().generators)
     dot = export_orbit_graph(graph, "full")
     nodes, edges = parse_dot(dot)
     assert len(nodes) == 288
@@ -28,24 +28,24 @@ def test_empty_orbit_graph_dot():
 
 def test_position_only_orbit_graph_has_six_components():
     h4 = generate_position([gen_r(), gen_s(), gen_t()])
-    graph = orbit_graph(named_generators(h4))
+    graph = orbit_graph(h4.generators)
     assert dot_component_count(export_orbit_graph(graph)) == graph.component_count
 
 
 def test_five_component_orbit_graph():
     g = direct_product(generate_position([gen_r(), gen_t()]), relabel_group())
-    graph = orbit_graph(named_generators(g))
+    graph = orbit_graph(g.generators)
     assert dot_component_count(export_orbit_graph(graph)) == graph.component_count
 
 
 def test_orbit_graph_export_is_byte_stable():
     g = direct_product(generate_position([gen_s(), gen_t()]), relabel_group())
-    graph = orbit_graph(named_generators(g))
+    graph = orbit_graph(g.generators)
     assert export_orbit_graph(graph) == export_orbit_graph(graph)
 
 
 def test_involution_edges_are_arrowless():
-    graph = orbit_graph(named_generators(full_group()))
+    graph = orbit_graph(full_group().generators)
     dot = export_orbit_graph(graph)
     for line in dot.splitlines():
         if "->" in line:
@@ -105,8 +105,10 @@ def test_parse_dot_rejects_foreign_documents(text):
 def test_quoting_roundtrip():
     # a quote, a line break in a label and one in the graph name: each
     # statement stays on its one line
+    graph = s4_nest_graph([gen_t()])
     for label, name in [("odd\"name", "nests"), ("a\nb", "nests"), ("t", "n\nm")]:
-        dot = export_nest_graph(s4_nest_graph([(label, gen_t())]), name)
+        relabeled = tuple(e._replace(label=label) for e in graph.edges)
+        dot = export_nest_graph(graph._replace(edges=relabeled), name)
         nodes, edges = parse_dot(dot)
         assert len(nodes) == 12
         assert len(edges) == 12 and dot.count("\n") == 1 + 12 + 12 + 1
@@ -114,7 +116,7 @@ def test_quoting_roundtrip():
 
 def test_orbit_and_nest_graphs_share_one_writer():
     # both exporters write any graph the same way; only orbit edges lack aux
-    orbit = orbit_graph(named_generators(generate_position([gen_r()])))
+    orbit = orbit_graph(generate_position([gen_r()]).generators)
     nest = s4_nest_graph([gen_t()])
     for graph in (orbit, nest):
         assert export_orbit_graph(graph, "g") == export_nest_graph(graph, "g")

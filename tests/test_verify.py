@@ -6,17 +6,25 @@ each and check that the check still catches it.
 Each action fault is written for one board and patched into both the
 action module and the verify module, and verify's batch kernel applies
 it board by board, so it reaches every apply path the check may take.
+
+The checks are independent where the README says so: check 13 reads
+none of the tables that orbits and the Burnside counts rest on, check 11
+neither the cocycle nor the orbit labeling, and check 7 compares the two
+paths it cross-checks.
 """
 
+import importlib
+import pkgutil
 import re
 
 import pytest
 
-from shidoku import action, burnside, verify
+import shidoku
+from shidoku import action, burnside, group, verify
 from shidoku.board import Board, enumerate_all
 from shidoku.group import factor_tables, named_group
 from shidoku.perm import SymmetryElement, gen_s, gen_t, relabeling
-from helpers import INVARIANT_UNDER_TRANSPOSE_TEXT
+from helpers import INVARIANT_UNDER_TRANSPOSE_TEXT, called_codes
 
 apply_values = action.apply_values
 T_NUMBER = factor_tables()[0].numbers[gen_t()]
@@ -115,3 +123,42 @@ def test_a_fault_off_the_representatives_fails_inside_the_minimal_group(monkeypa
     patch_action(monkeypatch, faulty)
     with pytest.raises(AssertionError, match="inside <s,t> x S4"):
         verify.check_action_and_relations()
+
+
+def clear_every_cache():
+    """Empty every lru_cache defined in a shidoku module, in a class body
+    too, so that a check builds again each table it reads."""
+    for info in pkgutil.iter_modules(shidoku.__path__):
+        if info.name == "__main__":  # importing it runs the cli
+            continue
+        module = importlib.import_module(f"shidoku.{info.name}")
+        for value in list(vars(module).values()):
+            for f in [value, *vars(value).values()] if isinstance(value, type) else [value]:
+                if hasattr(f, "cache_clear") and f.__module__ == module.__name__:
+                    f.cache_clear()
+
+
+TABLES = {
+    "_kernel_blocks": group._kernel_blocks,
+    "cocycle": group.cocycle,
+    "_orbits": action._orbits,
+    "_fixed_total": burnside._fixed_total,
+    "undo_row": burnside.undo_row,
+}
+
+
+@pytest.mark.parametrize(
+    "check, unread, read",
+    [
+        (verify.check_action_and_relations, set(TABLES), set()),
+        (verify.check_fixing_rules_exhaustive, {"cocycle", "_orbits"}, set()),
+        (verify.check_burnside_cross, set(), {"_fixed_total", "_orbits"}),
+    ],
+    ids=["13-action-and-relations", "11-fixing-rules", "07-burnside-cross-check"],
+)
+def test_checks_read_only_the_tables_they_may(check, unread, read):
+    clear_every_cache()
+    codes = {getattr(f, "__wrapped__", f).__code__: name for name, f in TABLES.items()}
+    called = {codes[code] for code in called_codes(check) if code in codes}
+    assert not called & unread
+    assert read <= called
