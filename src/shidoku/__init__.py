@@ -30,7 +30,6 @@ from .burnside import (
 )
 from .nests import (
     Nest,
-    NestGraph,
     completeness_via_nests,
     h4_canonicalize,
     h4_nest_graph,
@@ -46,7 +45,6 @@ __all__ = [
     "Board",
     "ConjugacyClass",
     "Nest",
-    "NestGraph",
     "Perm",
     "SymmetryElement",
     "SymmetryGroup",

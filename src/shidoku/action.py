@@ -49,22 +49,18 @@ def is_position_symmetry(x: Perm) -> bool:
 class OrbitPartition(NamedTuple):
     """Partition of the 288 boards into orbits: labels[k] is the index of
     board k's orbit, orbits numbered by their smallest board, orbit_sizes[c]
-    orbit c's board count; two partitions are equal iff their labels are."""
+    orbit c's board count; two partitions are equal iff their labels are.
+    blocks groups the boards by label, each orbit's in board order."""
 
     labels: tuple[int, ...]
     orbit_sizes: tuple[int, ...]
 
     @property
-    def numbers(self) -> tuple[tuple[int, ...], ...]:
-        blocks = [[] for _ in self.orbit_sizes]
-        for k, c in enumerate(self.labels):
-            blocks[c].append(k)
-        return tuple(map(tuple, blocks))
-
-    @property
     def blocks(self) -> tuple[tuple[Board, ...], ...]:
-        boards = enumerate_all()
-        return tuple(tuple(map(boards.__getitem__, block)) for block in self.numbers)
+        blocks = [[] for _ in self.orbit_sizes]
+        for b, c in zip(enumerate_all(), self.labels):
+            blocks[c].append(b)
+        return tuple(map(tuple, blocks))
 
     @property
     def block_count(self) -> int:

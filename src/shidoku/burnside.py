@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import compress
 from operator import eq, itemgetter, mul
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .board import VALUES, Board, REGIONS
 from .group import (
@@ -96,15 +96,10 @@ def _fixed_total(cosets: Iterable[tuple[int, int]], kernel: frozenset[int]) -> i
     return sum(weights[u][rho] for p, u in cosets for rho in fixed[p])
 
 
-def _fixed_count(n: int) -> int:
-    """Number of boards that element number n = (x, sigma) fixes: |C(sigma)|
-    in each value nest x fixes with its rho conjugate to sigma."""
-    return _fixed_total([divmod(n, RELABELINGS)], frozenset({0}))
-
-
 def fixed_points(e: SymmetryElement) -> int:
-    """Number of boards b with apply(e, b) == b."""
-    return _fixed_count(element_number(e))
+    """Number of boards b with apply(e, b) == b: |C(sigma)| in each value
+    nest x fixes with its rho conjugate to sigma, for e = (x, sigma)."""
+    return _fixed_total([divmod(element_number(e), RELABELINGS)], frozenset({0}))
 
 
 def burnside_orbit_count(g: SymmetryGroup) -> int:
@@ -119,20 +114,8 @@ def burnside_orbit_count(g: SymmetryGroup) -> int:
     return total // g.order
 
 
-class InvarianceTable(NamedTuple):
-    """Per-conjugacy-class invariant board counts for a position-only group."""
-
-    group: SymmetryGroup
-    rows: tuple[tuple[ConjugacyClass, int], ...]
-
-    def total_fixed_points(self) -> int:
-        """Sum of |class| * count: the full-relabeling-factor fixed-point
-        total of group x (all 24 relabelings)."""
-        return sum(cls.size * count for cls, count in self.rows)
-
-
-def invariance_table(h: SymmetryGroup) -> InvarianceTable:
-    """One row per conjugacy class of a position-only group.
+def invariance_table(h: SymmetryGroup) -> tuple[tuple[ConjugacyClass, int], ...]:
+    """One (class, count) row per conjugacy class of a position-only group.
 
     The count is taken on the class representative: it is a class
     function, which the test suite checks on every member of every class
@@ -140,8 +123,7 @@ def invariance_table(h: SymmetryGroup) -> InvarianceTable:
     """
     if not h.is_position_only():
         raise ValueError("invariance table wants a position-only group")
-    rows = tuple((cls, invariant_count(cls.representative.pos)) for cls in conjugacy_classes(h))
-    return InvarianceTable(h, rows)
+    return tuple((cls, invariant_count(cls.representative.pos)) for cls in conjugacy_classes(h))
 
 
 @lru_cache(maxsize=128)

@@ -127,7 +127,7 @@ def cmd_burnside(args) -> int:
     table = invariance_table(generate_position(e.pos for e in g.generators))
     rows = [
         {"size": cls.size, "rep": cls.representative.pos.cycle_notation() or "()", "invariant": n}
-        for cls, n in table.rows
+        for cls, n in table
     ]
     payload = {
         "classes": rows,

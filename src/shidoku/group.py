@@ -36,8 +36,6 @@ from .perm import (
     Perm,
     SymmetryElement,
     apply_batch,
-    position_elements,
-    relabel_elements,
     relabeling,
     standard_position_generators,
 )
@@ -291,12 +289,12 @@ def generate(gens: Iterable[SymmetryElement]) -> SymmetryGroup:
 
 def generate_position(perms: Iterable[Perm]) -> SymmetryGroup:
     """Group of position-only elements generated by cell permutations."""
-    return generate(position_elements(perms))
+    return generate(map(SymmetryElement.from_position, perms))
 
 
 def generate_relabel(perms: Iterable[Perm]) -> SymmetryGroup:
     """Group of relabel-only elements generated by value permutations."""
-    return generate(relabel_elements(perms))
+    return generate(map(SymmetryElement.from_relabeling, perms))
 
 
 def trivial_group() -> SymmetryGroup:

@@ -10,9 +10,10 @@ value < the cell-5 value.  A nest-graph edge follows one rule for both
 factors: the generator moves a nest's representative to a board, the
 edge's target is the nest represented by that board's canonical form,
 and its aux is the transform the canonicalizer applied, run once per
-board and factor (_canonical).  So the graphs read the
-canonicalizers and not the orbits' tables; the tests check the two
-against each other.
+board and factor (_canonical).  A nest graph is a plain action.Graph
+whose nodes are the nest labels; the nests themselves are s4_nests()'s
+and h4_nests()'s.  So the graphs read the canonicalizers and not the
+orbits' tables; the tests check the two against each other.
 """
 
 from __future__ import annotations
@@ -61,24 +62,6 @@ class Nest(NamedTuple):
         return len(self.members)
 
 
-class NestGraph(NamedTuple):
-    """A quotient graph whose nodes are the labels of its nests: a Graph
-    that also holds the nests."""
-
-    nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    nests: tuple[Nest, ...]
-
-    components = Graph.components
-    component_count = Graph.component_count
-
-    def nest(self, label: str) -> Nest:
-        for n in self.nests:
-            if n.label == label:
-                return n
-        raise KeyError(label)
-
-
 def s4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
     """(canonical board, sigma) where sigma is the relabeling applied, the
     one making the upper-left block read 1,2 / 3,4.  ValueError unless
@@ -96,12 +79,12 @@ def s4_canonicalize(b: Board) -> Board:
 
 
 def _ones_configuration_transform(b: Board) -> Perm:
-    """Band-preserving row/column swaps moving b's 1s to cells 1, 7, 10, 16."""
-    by_block: dict[int, tuple[int, int]] = {}
-    for cell in b.cells_with(1):
-        by_block[block_of(cell)] = coords(cell)
-    if sorted(by_block) != [1, 2, 3, 4]:
-        raise ValueError("board has no one-per-block configuration of 1s")
+    """Band-preserving row/column swaps moving b's 1s to cells 1, 7, 10, 16.
+    ValueError unless b holds four 1s, one per row, column and block."""
+    ones = [(*coords(cell), block_of(cell)) for cell in b.cells_with(1)]
+    if len(ones) != 4 or any(len(set(axis)) != 4 for axis in zip(*ones)):
+        raise ValueError(f"the 1s of {b.text} are not one per row, column and block")
+    by_block = {k: (r, c) for r, c, k in ones}
     (r1, c1), (r2, c2), (r3, c3), (r4, c4) = (by_block[k] for k in (1, 2, 3, 4))
     # row r_i goes to row i, and column c1, c3, c2, c4 to column 1, 2, 3, 4
     return grid_perm(Perm((r1, r2, r3, r4)).inverse(), Perm((c1, c3, c2, c4)).inverse())
@@ -113,7 +96,8 @@ def h4_canonicalize_with_transform(b: Board) -> tuple[Board, Perm]:
     Constructive: row/column swaps place the 1s on cells 1, 7, 10, 16,
     a half-turn then forces value(cell 6) <= value(cell 11), and a
     transpose forces value(cell 2) < value(cell 5).  Each step preserves
-    what the previous steps established.
+    what the previous steps established.  ValueError unless b's 1s are
+    one per row, column and block.
     """
     transform = _ones_configuration_transform(b)
     values = position_apply(transform, b.values)
@@ -179,9 +163,10 @@ def _nest_graph(
     factor_nests: Callable[[], tuple[Nest, ...]],
     element: Callable[[Perm], SymmetryElement],
     canonicalize: Callable[[Board], tuple[Board, Perm]],
-) -> NestGraph:
+) -> Graph:
     """Induced action of one factor's generators, each of the given degree,
-    on the other factor's nests, factor_nests(): each representative moves
+    on the other factor's nests, factor_nests(), as a Graph whose nodes
+    are their labels, in factor_nests() order: each representative moves
     by element(g)'s board image to a board k, and _canonical(canonicalize,
     k) = (form, fix) gives the edge's target, the nest that form
     represents, and its aux, fix; the edge's label is perm_label(g).
@@ -199,10 +184,10 @@ def _nest_graph(
             form, fix = _canonical(canonicalize, moved[rep])
             aux = None if fix.is_identity else fix
             edges.append(Edge(n.label, label[form], name, directed, aux))
-    return NestGraph(tuple(n.label for n in nests), tuple(edges), nests)
+    return Graph(tuple(n.label for n in nests), tuple(edges))
 
 
-def s4_nest_graph(gens: Iterable[Perm]) -> NestGraph:
+def s4_nest_graph(gens: Iterable[Perm]) -> Graph:
     """Induced action of position generators on the twelve value nests.
 
     Each edge records the relabeling needed to return the moved
@@ -213,7 +198,7 @@ def s4_nest_graph(gens: Iterable[Perm]) -> NestGraph:
     )
 
 
-def h4_nest_graph(gens: Iterable[Perm]) -> NestGraph:
+def h4_nest_graph(gens: Iterable[Perm]) -> Graph:
     """Induced action of relabeling generators on the six position nests.
 
     Each edge records the position symmetry needed to return the moved

@@ -301,11 +301,3 @@ def apply_values(e: SymmetryElement, values: tuple[int, ...]) -> tuple[int, ...]
     below 0 or above 4; a 0 value is moved but not renamed.
     """
     return apply_batch(e, (values,))[0]
-
-
-def position_elements(perms: Iterable[Perm]) -> list[SymmetryElement]:
-    return [SymmetryElement.from_position(p) for p in perms]
-
-
-def relabel_elements(perms: Iterable[Perm]) -> list[SymmetryElement]:
-    return [SymmetryElement.from_relabeling(p) for p in perms]

@@ -255,7 +255,7 @@ def test_orbit_partition_holds_board_numbers():
         part = orbits(g)
         want = sorted(tuple(sorted(block)) for block in oracle_orbits(g.generators))
         assert part.blocks == tuple(want)
-        assert part.numbers == tuple(tuple(boards.index(b) for b in block) for block in want)
+        assert part.labels == tuple(next(k for k, block in enumerate(want) if b in block) for b in boards)
         assert part.sizes() == tuple(map(len, want))
         assert part.block_count == len(want)
         assert all(part.block_of(b) == k for k, block in enumerate(want) for b in block)
@@ -310,7 +310,7 @@ def test_is_complete_after_orbits_labels_the_orbits_once(monkeypatch):
     assert orbits(g) == part and len(calls) == 1
     # the kept partition is immutable
     assert type(part.labels) is tuple
-    assert type(part.numbers) is tuple and all(type(block) is tuple for block in part.numbers)
+    assert type(part.blocks) is tuple and all(type(block) is tuple for block in part.blocks)
     # a different group is labeled anew
     assert not is_complete(named_group("rtxS4"))
     assert len(calls) == 2
@@ -352,7 +352,7 @@ def test_orbit_sizes_and_count_are_read_not_counted():
 
         readers = {OrbitPartition.sizes.__code__, OrbitPartition.block_count.fget.__code__}
         assert called_codes(read) == {read.__code__, *readers}
-        assert read() == (tuple(map(len, part.numbers)), len(part.numbers))
+        assert read() == (tuple(map(len, part.blocks)), len(part.blocks))
 
 
 def test_search_counts_orbits_without_labeling_them():

@@ -160,6 +160,8 @@ GOLDEN_REPORTS = [
      "nest-graph-h4.json"),
     (("nest-graph", "--factor", "h4", "--gens", "(12),(23)", "--dot", "{dot}"),
      "nest-graph-h4.dot"),
+    (("burnside", "--group", "H4"), "burnside-H4.txt"),
+    (("burnside", "--group", "full", "--format", "json"), "burnside-full.json"),
     (("search", "--minimal-only"), "search-minimal.txt"),
     (("search", "--minimal-only", "--format", "json"), "search-minimal.json"),
 ]

@@ -16,8 +16,6 @@ from shidoku.perm import (
     gen_r2,
     gen_s,
     gen_t,
-    position_elements,
-    relabel_elements,
     relabeling,
 )
 from shidoku.group import (
@@ -111,8 +109,8 @@ def test_factor_table_inverses_are_the_inverses_of_every_element():
 def test_factor_table_images_match_apply_on_every_board():
     numbers = board_numbers()
     position, relabel = factor_tables()
-    for table, elements in ((position, position_elements), (relabel, relabel_elements)):
-        for e, row in zip(elements(table.elements), table.images, strict=True):
+    for table, make in ((position, SymmetryElement.from_position), (relabel, SymmetryElement.from_relabeling)):
+        for e, row in zip(map(make, table.elements), table.images, strict=True):
             assert row == tuple(numbers[apply_values(e, b.values)] for b in enumerate_all())
 
 
@@ -144,10 +142,10 @@ def test_element_numbers_sort_as_elements():
 
 def test_generate_matches_closure_oracle_on_default_pool_subsets():
     cases = [
-        elements([p for _, p in subset])
-        for pool, elements in (
-            (default_position_pool(), position_elements),
-            (default_relabel_pool(), relabel_elements),
+        [*map(make, (p for _, p in subset))]
+        for pool, make in (
+            (default_position_pool(), SymmetryElement.from_position),
+            (default_relabel_pool(), SymmetryElement.from_relabeling),
         )
         for size in range(len(pool) + 1)
         for subset in combinations(pool, size)
@@ -235,10 +233,10 @@ def test_closure_facts_match_the_number_set(monkeypatch):
     # order, kernel and the factor tests are read off the stored closure;
     # each must agree with the element numbers it stands for
     subsets = [
-        generate(elements([p for _, p in subset]))
-        for pool, elements in (
-            (default_position_pool(), position_elements),
-            (default_relabel_pool(), relabel_elements),
+        generate(map(make, (p for _, p in subset)))
+        for pool, make in (
+            (default_position_pool(), SymmetryElement.from_position),
+            (default_relabel_pool(), SymmetryElement.from_relabeling),
         )
         for size in range(len(pool) + 1)
         for subset in combinations(pool, size)

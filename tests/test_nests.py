@@ -8,12 +8,11 @@ from shidoku import nests as nests_module
 from shidoku.board import Board, enumerate_all
 from shidoku.perm import Perm, gen_r, gen_r2, gen_s, gen_t, perm_label, relabeling
 from shidoku.group import generate_position, relabel_group
-from shidoku.action import apply, full_partition, position_apply
+from shidoku.action import Graph, apply, full_partition, position_apply
 from shidoku.perm import SymmetryElement
 from shidoku.search import default_position_pool, default_relabel_pool
 from shidoku.nests import (
     H4_REPRESENTATIVES,
-    NestGraph,
     S4_REPRESENTATIVES,
     completeness_via_nests,
     h4_canonicalize,
@@ -91,7 +90,7 @@ def test_s4_nest_graph_well_defined_on_all_members():
     for gen in (gen_r(), gen_s(), gen_t()):
         graph = s4_nest_graph([gen])
         targets = {e.src: e.dst for e in graph.edges}
-        for nest in graph.nests:
+        for nest in s4_nests():
             for member in nest.members:
                 moved = Board(position_apply(gen, member.values))
                 assert s4_nest_of(moved) == targets[nest.label]
@@ -127,6 +126,34 @@ def test_h4_canonicalize_transform_is_a_position_symmetry_that_works():
         canon, transform = h4_canonicalize_with_transform(b)
         assert SymmetryElement.from_position(transform) in h4
         assert Board(position_apply(transform, b.values)) == canon
+
+
+def test_h4_canonicalize_accepts_exactly_the_boards_whose_1s_are_a_transversal():
+    # all 65,536 boards of 0s and 1s: accepted iff the 1s are four, one per
+    # row, column and block, and then moved onto cells 1, 7, 10, 16 by a
+    # position symmetry; any other is rejected by one line naming it
+    h4 = generate_position([gen_r(), gen_s(), gen_t()])
+
+    def transversal(values):
+        places = [(i // 4, i % 4) for i, v in enumerate(values) if v == 1]
+        regions = ({r for r, _ in places}, {c for _, c in places}, {(r // 2, c // 2) for r, c in places})
+        return len(places) == 4 and all(len(region) == 4 for region in regions)
+
+    accepted = 0
+    for bits in range(1 << 16):
+        b = Board(tuple(bits >> (15 - i) & 1 for i in range(16)))
+        try:
+            canon, transform = h4_canonicalize_with_transform(b)
+        except ValueError as exc:
+            assert not transversal(b.values)
+            assert str(exc) == f"the 1s of {b.text} are not one per row, column and block"
+        else:
+            assert transversal(b.values)
+            assert SymmetryElement.from_position(transform) in h4
+            assert canon.values == oracle_apply(SymmetryElement.from_position(transform), b.values)
+            assert canon.cells_with(1) == {1, 7, 10, 16}
+            accepted += 1
+    assert accepted == 16
 
 
 def test_h4_nests_golden():
@@ -189,21 +216,23 @@ def test_nest_graph_components_match_oracle_in_order():
     # the same generator twice, under one label, still gives two maps
     graphs.append(s4_nest_graph([gen_s(), gen_t(), gen_s()]))
     graphs.append(h4_nest_graph([relabeling("(1 2)"), relabeling("(2 3)"), relabeling("(1 2)")]))
+    nest_labels = {tuple(n.label for n in nests()) for nests in (s4_nests, h4_nests)}
     for graph in graphs:
-        labels = [n.label for n in graph.nests]
-        want = oracle_components(labels, [(e.src, e.dst) for e in graph.edges])
+        # the nodes are the nests' labels, in nest order
+        assert graph.nodes in nest_labels
+        want = oracle_components(list(graph.nodes), [(e.src, e.dst) for e in graph.edges])
         assert graph.components() == want
         # blocks by least label, labels sorted within, whatever the nest order
-        shuffled = NestGraph(graph.nodes[::-1], graph.edges, graph.nests[::-1])
+        shuffled = Graph(graph.nodes[::-1], graph.edges)
         assert shuffled.components() == want
 
 
 def test_nest_graph_whose_nodes_miss_its_edges_raises_value_error():
     graph = s4_nest_graph([gen_s(), gen_t()])
     with pytest.raises(ValueError, match="24 edges are not runs of 11 nodes"):
-        NestGraph(graph.nodes[:-1], graph.edges, graph.nests).components()
+        Graph(graph.nodes[:-1], graph.edges).components()
     with pytest.raises(ValueError, match="endpoint 'L' is not a node"):
-        NestGraph(graph.nodes[:-1] + ("Z",), graph.edges, graph.nests).components()
+        Graph(graph.nodes[:-1] + ("Z",), graph.edges).components()
 
 
 def test_nest_graph_with_a_repeated_source_raises_value_error():
@@ -211,7 +240,7 @@ def test_nest_graph_with_a_repeated_source_raises_value_error():
     first, second = graph.edges[:2]
     edges = (first, second._replace(src=first.src), *graph.edges[2:])
     with pytest.raises(ValueError, match="^edge run 1 does not name each node once"):
-        NestGraph(graph.nodes, edges, graph.nests).components()
+        Graph(graph.nodes, edges).components()
 
 
 def test_h4_nest_graph_three_cycle():
@@ -227,7 +256,7 @@ def test_h4_nest_graph_well_defined_on_all_members():
         graph = h4_nest_graph([sigma])
         targets = {e.src: e.dst for e in graph.edges}
         index = {n.representative: n.label for n in h4_nests()}
-        for nest in graph.nests:
+        for nest in h4_nests():
             for member in nest.members:
                 moved = apply(SymmetryElement.from_relabeling(sigma), member)
                 assert index[h4_canonicalize(moved)] == targets[nest.label]
@@ -246,12 +275,13 @@ def test_every_nest_graph_aux_returns_the_moved_representative():
         (h4_nest_graph(relabel_gens), relabel_gens, SymmetryElement.from_relabeling,
          SymmetryElement.from_position, 16),
     ]
+    nests = {n.label: n for n in (*s4_nests(), *h4_nests())}
     for graph, gens, move, correct, aux_degree in cases:
         by_name = {perm_label(g): g for g in gens}
         for edge in graph.edges:
             aux = edge.aux or Perm.identity(aux_degree)
-            moved = oracle_apply(move(by_name[edge.label]), graph.nest(edge.src).representative.values)
-            assert oracle_apply(correct(aux), moved) == graph.nest(edge.dst).representative.values
+            moved = oracle_apply(move(by_name[edge.label]), nests[edge.src].representative.values)
+            assert oracle_apply(correct(aux), moved) == nests[edge.dst].representative.values
     assert [len(graph.edges) for graph, *_ in cases] == [4 * 12, 6 * 6]
 
 
@@ -261,8 +291,9 @@ def test_completeness_via_nests():
 
 def test_completeness_component_unions_match_type_split():
     graph = s4_nest_graph([gen_s(), gen_t()])
+    nests = {n.label: n for n in s4_nests()}
     unions = {
-        frozenset(b for label in comp for b in graph.nest(label).members)
+        frozenset(b for label in comp for b in nests[label].members)
         for comp in graph.components()
     }
     assert unions == {frozenset(block) for block in full_partition().blocks}
@@ -274,13 +305,14 @@ def test_nest_graph_components_lie_inside_full_orbits():
     # they lie inside one full orbit: with two full orbits, exactly two
     # components are those orbits, and the count decides completeness
     orbit_of = {b: c for c, block in enumerate(full_partition().blocks) for b in block}
+    nests = {n.label: n for n in (*s4_nests(), *h4_nests())}
     verdicts = set()
     cases = ((default_position_pool(), s4_nest_graph), (default_relabel_pool(), h4_nest_graph))
     for pool, nest_graph in cases:
         for subset in (s for size in range(len(pool) + 1) for s in combinations(pool, size)):
             graph = nest_graph([p for _, p in subset])
             for component in graph.components():
-                boards = [b for label in component for b in graph.nest(label).members]
+                boards = [b for label in component for b in nests[label].members]
                 assert len({orbit_of[b] for b in boards}) == 1
             if subset:
                 verdict = completeness_via_nests([p for _, p in subset])
@@ -339,6 +371,3 @@ def test_nest_lookup_helpers():
     assert {b: s4_nest_of(b) for b in enumerate_all()} == holder
     with pytest.raises(ValueError, match="not a valid Shidoku board"):
         s4_nest_of(Board.from_text("1234341221434312"))
-    graph = s4_nest_graph(())
-    with pytest.raises(KeyError):
-        graph.nest("Z")
