@@ -9,7 +9,6 @@ symmetry groups (order 192).
 from .board import Board, enumerate_all, count_with_ones_configuration, validate
 from .perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, relabeling
 from .group import (
-    ConjugacyClass,
     SymmetryGroup,
     conjugacy_classes,
     direct_product,
@@ -43,7 +42,6 @@ from .graphio import export_nest_graph, export_orbit_graph
 
 __all__ = [
     "Board",
-    "ConjugacyClass",
     "Nest",
     "Perm",
     "SymmetryElement",

@@ -22,7 +22,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Hashable, Iterable, NamedTuple
 
-from .board import Board, board_numbers, enumerate_all
+from .board import Board, board_number, enumerate_all
 from .group import (
     RELABELINGS, SymmetryGroup, _kernel_blocks, element_number, factor_tables, full_group, image
 )
@@ -71,9 +71,7 @@ class OrbitPartition(NamedTuple):
 
     def block_of(self, b: Board) -> int:
         """Index of the block holding b; ValueError unless b is a valid board."""
-        if (n := board_numbers().get(b.values)) is None:
-            raise ValueError(f"not a valid Shidoku board: {b.text}")
-        return self.labels[n]
+        return self.labels[board_number(b)]
 
 
 @lru_cache(maxsize=1)

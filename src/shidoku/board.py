@@ -42,8 +42,8 @@ _CELL_VALUES = _VALUE_SET | {0}
 
 
 class Board(namedtuple("Board", "values")):
-    """An assignment of values 0..4 (0 an empty cell) to the 16 cells;
-    other values raise ValueError.
+    """An assignment of values 0..4 (0 an empty cell) to the 16 cells, as
+    a tuple of ints; other values, or other than a tuple, raise ValueError.
 
     Region-invalid assignments are representable; use validate()/is_valid()
     to check the region constraints.  An immutable tuple record (values,):
@@ -54,7 +54,8 @@ class Board(namedtuple("Board", "values")):
     __slots__ = ()
 
     def __new__(cls, values: tuple[int, ...]) -> "Board":
-        if len(values) != 16 or not _CELL_VALUES.issuperset(values) or set(map(type, values)) != {int}:
+        ints = type(values) is tuple and set(map(type, values)) == {int}
+        if not ints or len(values) != 16 or not _CELL_VALUES.issuperset(values):
             raise ValueError(f"not 16 board values in 0..4: {values!r}")
         return tuple.__new__(cls, (values,))
 
@@ -63,9 +64,10 @@ class Board(namedtuple("Board", "values")):
 
     @classmethod
     def from_text(cls, text: str) -> "Board":
-        """Parse the 16-digit row-major board string, e.g. '1234341221434321'."""
+        """Parse the 16-digit row-major board string, e.g. '1234341221434321';
+        ASCII digits only."""
         text = text.strip()
-        if len(text) != 16 or not text.isdigit():
+        if len(text) != 16 or not (text.isascii() and text.isdigit()):
             raise ValueError(f"board text must be 16 digits, got {text!r}")
         return cls(tuple(int(ch) for ch in text))
 
@@ -141,6 +143,13 @@ def board_numbers() -> dict[tuple[int, ...], int]:
     """Each valid board's number, keyed by its values: its position in
     enumerate_all(), so numbers sort as the boards do."""
     return {b.values: k for k, b in enumerate(enumerate_all())}
+
+
+def board_number(b: Board) -> int:
+    """b's number in board_numbers(); ValueError unless b is a valid board."""
+    if (k := board_numbers().get(b.values)) is None:
+        raise ValueError(f"not a valid Shidoku board: {b.text}")
+    return k
 
 
 def count_with_ones_configuration(mask: Iterable[int]) -> int:

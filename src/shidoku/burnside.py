@@ -23,7 +23,6 @@ from typing import Iterable
 from .board import VALUES, Board, REGIONS
 from .group import (
     RELABELINGS,
-    ConjugacyClass,
     SymmetryGroup,
     _kernel_blocks,
     cocycle,
@@ -114,16 +113,17 @@ def burnside_orbit_count(g: SymmetryGroup) -> int:
     return total // g.order
 
 
-def invariance_table(h: SymmetryGroup) -> tuple[tuple[ConjugacyClass, int], ...]:
-    """One (class, count) row per conjugacy class of a position-only group.
+def invariance_table(h: SymmetryGroup) -> tuple[tuple[frozenset[SymmetryElement], int], ...]:
+    """One (class, count) row per conjugacy class of a position-only group,
+    in conjugacy_classes order.
 
-    The count is taken on the class representative: it is a class
-    function, which the test suite checks on every member of every class
-    of the full position group.
+    The count is taken on the class's minimal element, min(cls): it is a
+    class function, which the test suite checks on every member of every
+    class of the full position group.
     """
     if not h.is_position_only():
         raise ValueError("invariance table wants a position-only group")
-    return tuple((cls, invariant_count(cls.representative.pos)) for cls in conjugacy_classes(h))
+    return tuple((cls, invariant_count(min(cls).pos)) for cls in conjugacy_classes(h))
 
 
 @lru_cache(maxsize=128)

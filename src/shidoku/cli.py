@@ -72,8 +72,8 @@ def _parse_relabel_token(token: str) -> Perm:
     Only a token of whole packed cycles is unpacked: any other goes to
     Perm.from_cycles as given, which rejects malformed notation."""
     text = token.strip()
-    if re.fullmatch(r"(\(\d*\))+", text):
-        text = "".join("(" + " ".join(part) + ")" for part in re.findall(r"\((\d*)\)", text))
+    if re.fullmatch(r"(\([0-9]*\))+", text):
+        text = "".join("(" + " ".join(part) + ")" for part in re.findall(r"\(([0-9]*)\)", text))
     try:
         return Perm.from_cycles(text, 4)
     except ValueError as exc:
@@ -85,16 +85,6 @@ def _parse_position_token(token: str) -> Perm:
     if token not in standard:
         raise CliError(f"unknown position generator {token!r}; use {', '.join(standard)}")
     return standard[token]
-
-
-def _factor(args):
-    """The --factor's nests function, nest-graph function and --gens token
-    parser.  The table is built per call, so a function rebound on this
-    module (as the benchmark's tracer does) is the one called."""
-    return {
-        "s4": (s4_nests, s4_nest_graph, _parse_position_token),
-        "h4": (h4_nests, h4_nest_graph, _parse_relabel_token),
-    }[args.factor]
 
 
 def _emit(args, payload: dict, lines: Iterable[str]) -> int:
@@ -126,7 +116,7 @@ def cmd_burnside(args) -> int:
     # the position parts of g's generators generate its position projection
     table = invariance_table(generate_position(e.pos for e in g.generators))
     rows = [
-        {"size": cls.size, "rep": cls.representative.pos.cycle_notation() or "()", "invariant": n}
+        {"size": len(cls), "rep": min(cls).pos.cycle_notation() or "()", "invariant": n}
         for cls, n in table
     ]
     payload = {
@@ -148,16 +138,19 @@ def cmd_burnside(args) -> int:
 
 
 def cmd_nests(args) -> int:
-    nests, _, _ = _factor(args)
-    rows = [{"label": n.label, "size": n.size, "rep": n.representative.text} for n in nests()]
+    # here and in cmd_nest_graph the nest functions are looked up on this
+    # module at call time, so one rebound on it (by a tracer) is the one called
+    nests = s4_nests() if args.factor == "s4" else h4_nests()
+    rows = [{"label": n.label, "size": n.size, "rep": n.representative.text} for n in nests]
     lines = (f"nest {r['label']}: size {r['size']}, rep {r['rep']}" for r in rows)
     return _emit(args, {"nests": rows}, lines)
 
 
 def cmd_nest_graph(args) -> int:
-    _, nest_graph, parse_token = _factor(args)
+    s4 = args.factor == "s4"
+    parse_token = _parse_position_token if s4 else _parse_relabel_token
     gens = [parse_token(token.strip()) for token in args.gens.split(",") if token.strip()]
-    graph = nest_graph(gens)
+    graph = (s4_nest_graph if s4 else h4_nest_graph)(gens)
     if args.dot is not None:
         name = f"{args.factor}-nests[{','.join(map(perm_label, gens))}]"
         Path(args.dot).write_text(export_nest_graph(graph, name))

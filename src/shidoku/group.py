@@ -317,25 +317,13 @@ def direct_product(h: SymmetryGroup, s: SymmetryGroup) -> SymmetryGroup:
     return SymmetryGroup._trusted(dict.fromkeys(h.section, 0), s.kernel, generators)
 
 
-class ConjugacyClass(NamedTuple):
-    representative: SymmetryElement
-    members: frozenset[SymmetryElement]
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
-
-
-def conjugacy_classes(g: SymmetryGroup) -> tuple[ConjugacyClass, ...]:
-    """Conjugacy classes of g, ordered by minimal element; the
-    representative of each class is its minimal element.  The classes
-    are the components of conjugation by g's generators on g."""
+def conjugacy_classes(g: SymmetryGroup) -> tuple[frozenset[SymmetryElement], ...]:
+    """Conjugacy classes of g as sets of elements, ordered by minimal
+    element, which represents its class (min(cls)).  The classes are the
+    components of conjugation by g's generators on g."""
     conjugators = [(c, _inverse(c)) for c in g.generator_numbers]
     edges = [(x, _product(_product(c, x), cinv)) for c, cinv in conjugators for x in g.numbers]
-    return tuple(
-        ConjugacyClass(element(block[0]), frozenset(map(element, block)))
-        for block in graph_components(g.numbers, edges)
-    )
+    return tuple(frozenset(map(element, block)) for block in graph_components(g.numbers, edges))
 
 
 #: Factor shorthands: position factors by standard generator names,

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Iterable, NamedTuple
 
-from .board import Board, block_of, board_numbers, coords, enumerate_all
+from .board import Board, block_of, board_number, coords, enumerate_all
 from .perm import Perm, SymmetryElement, gen_r2, gen_t, grid_perm, perm_label
 from .group import SymmetryGroup, element_number, image, position_group, relabel_group
 from .action import Edge, Graph, apply_values, orbits, position_apply
@@ -150,10 +150,9 @@ def h4_nests() -> tuple[Nest, ...]:
 
 
 def s4_nest_of(b: Board) -> str:
-    """The label of the value nest holding b: that of its canonical form."""
-    if (k := board_numbers().get(b.values)) is None:
-        raise ValueError(f"not a valid Shidoku board: {b.text}")
-    form = _canonical(s4_canonicalize_with_transform, k)[0]
+    """The label of the value nest holding b: that of its canonical form;
+    ValueError unless b is a valid board."""
+    form = _canonical(s4_canonicalize_with_transform, board_number(b))[0]
     return next(n.label for n in s4_nests() if n.representative == form)
 
 
@@ -172,7 +171,7 @@ def _nest_graph(
     represents, and its aux, fix; the edge's label is perm_label(g).
     element_number rejects a generator outside H4 x S4."""
     nests = factor_nests()
-    reps = [board_numbers()[n.representative.values] for n in nests]
+    reps = [board_number(n.representative) for n in nests]
     label = {n.representative: n.label for n in nests}
     edges = []
     for g in gens:

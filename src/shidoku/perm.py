@@ -35,6 +35,8 @@ _new = tuple.__new__
 
 class Perm(namedtuple("Perm", "image")):
     """A bijection on {1..n}, stored as the image tuple: image[i-1] = p(i).
+    The image must be a tuple of ints (not bools); anything else raises
+    ValueError.
 
     An immutable tuple record (image,): hashing, equality and ordering
     are the tuple's, so ordering is lexicographic on the image, giving
@@ -44,7 +46,8 @@ class Perm(namedtuple("Perm", "image")):
     __slots__ = ()
 
     def __new__(cls, image: tuple[int, ...]) -> "Perm":
-        if sorted(image) != list(range(1, len(image) + 1)):
+        ints = type(image) is tuple and {int}.issuperset(map(type, image))
+        if not ints or sorted(image) != list(range(1, len(image) + 1)):
             raise ValueError(f"not a bijection on 1..{len(image)}: {image!r}")
         return tuple.__new__(cls, (image,))
 
@@ -65,10 +68,11 @@ class Perm(namedtuple("Perm", "image")):
         """Parse disjoint-cycle notation, e.g. '(2 5)(3 9)'.
 
         Unmentioned points are fixed; '' and '()' denote the identity.
-        Raises ValueError on out-of-range or repeated elements.
+        Raises ValueError on out-of-range or repeated elements, or on
+        digits other than ASCII 0-9.
         """
         text = text.strip()
-        if text and not re.fullmatch(r"(\s*\(\s*[\d\s]*\)\s*)+", text):
+        if text and not re.fullmatch(r"(\s*\(\s*[0-9\s]*\)\s*)+", text):
             raise ValueError(f"malformed cycle notation: {text!r}")
         image = list(range(1, degree + 1))
         seen: set[int] = set()
@@ -213,20 +217,18 @@ def relabeling(text: str) -> Perm:
 RELABEL_GENERATOR_NAMES = ("(1 2)", "(2 3)", "(3 4)", "(1 4)")
 
 
-def relabel_generators() -> tuple[Perm, ...]:
-    return tuple(relabeling(name) for name in RELABEL_GENERATOR_NAMES)
-
-
 class SymmetryElement(namedtuple("SymmetryElement", "pos rel")):
-    """A combined symmetry (pos, rel): move cells by pos, then rename
-    values by rel.  Composition is componentwise, right factor first,
-    through the memoised `Perm.__mul__`.  An immutable tuple record,
-    ordered as the tuple (pos, rel)."""
+    """A combined symmetry (pos, rel) of a degree-16 and a degree-4 Perm:
+    move cells by pos, then rename values by rel.  Composition is
+    componentwise, right factor first, through the memoised
+    `Perm.__mul__`.  An immutable tuple record, ordered as the tuple
+    (pos, rel)."""
 
     __slots__ = ()
 
     def __new__(cls, pos: Perm, rel: Perm) -> "SymmetryElement":
-        if pos.degree != POSITION_DEGREE or rel.degree != RELABEL_DEGREE:
+        perms = isinstance(pos, Perm) and isinstance(rel, Perm)
+        if not perms or pos.degree != POSITION_DEGREE or rel.degree != RELABEL_DEGREE:
             raise ValueError("symmetry element wants (degree-16, degree-4) parts")
         return tuple.__new__(cls, (pos, rel))
 

@@ -19,8 +19,6 @@ from .burnside import burnside_orbit_count
 
 NamedPerm = tuple[str, Perm]
 
-MINIMAL_COMPLETE_ORDER = 192
-
 
 def default_position_pool() -> tuple[NamedPerm, ...]:
     return standard_position_generators()
@@ -40,19 +38,17 @@ def minimal_order() -> int:
 class SearchResult(NamedTuple):
     position_names: tuple[str, ...]
     relabel_names: tuple[str, ...]
-    position_gens: tuple[Perm, ...]
-    relabel_gens: tuple[Perm, ...]
     order: int
     orbit_count: int
     complete: bool
 
     @property
     def minimal(self) -> bool:
-        """Complete at the least possible order, MINIMAL_COMPLETE_ORDER
-        (192).  Not the same as minimal by inclusion: some complete groups
-        of larger order have no complete proper subgroup (the order-384
-        group in test_a_complete_group_of_order_384_is_minimal_by_inclusion)."""
-        return self.complete and self.order == MINIMAL_COMPLETE_ORDER
+        """Complete at the least possible order, minimal_order() (192).
+        Not the same as minimal by inclusion: some complete groups of
+        larger order have no complete proper subgroup (the order-384 group
+        in test_a_complete_group_of_order_384_is_minimal_by_inclusion)."""
+        return self.complete and self.order == minimal_order()
 
     @property
     def label(self) -> str:
@@ -110,8 +106,6 @@ def search_products(
                 SearchResult(
                     position_names=tuple(name for name, _ in pos_subset),
                     relabel_names=tuple(name for name, _ in rel_subset),
-                    position_gens=tuple(p for _, p in pos_subset),
-                    relabel_gens=tuple(p for _, p in rel_subset),
                     order=product.order,
                     orbit_count=count,
                     complete=count == full_count,

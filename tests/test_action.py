@@ -371,8 +371,13 @@ def test_search_counts_orbits_without_labeling_them():
     labelers = {components, is_complete, action._orbits.__wrapped__}
     assert search_products.__code__ in called
     assert not called & {f.__code__ for f in labelers}
+    default_pools = default_position_pool(), default_relabel_pool()
+    positions, relabels = (dict(default + pool) for default, pool in zip(default_pools, seeded))
     for res in results:
-        factors = generate_position(res.position_gens), generate_relabel(res.relabel_gens)
+        factors = (
+            generate_position(map(positions.get, res.position_names)),
+            generate_relabel(map(relabels.get, res.relabel_names)),
+        )
         product = direct_product(*factors)
         assert res.complete == is_complete(product)
         assert res.orbit_count == orbits(product).block_count

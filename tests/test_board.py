@@ -12,6 +12,7 @@ from shidoku.board import (
     enumerate_all,
     validate,
 )
+from shidoku.perm import Perm, SymmetryElement, gen_t
 from helpers import (
     TYPE1_TEXT,
     TYPE2_TEXT,
@@ -109,6 +110,17 @@ def test_board_text_rejects_malformed(text):
         Board.from_text(text)
 
 
+@pytest.mark.parametrize(
+    "text", ["\u0661\u0662\u0663\u0664\u0663\u0664\u0661\u0662\u0662\u0661\u0664\u0663\u0664\u0663\u0662\u0661", "\u00b9234341221434321"],
+    ids=["arabic-indic", "superscript-one"],
+)
+def test_board_text_takes_ascii_digits_only(text):
+    # str.isdigit accepts both; int() reads the first as 1234341221434321
+    # and fails on the second with its own message
+    with pytest.raises(ValueError, match=f"^board text must be 16 digits, got {text!r}$"):
+        Board.from_text(text)
+
+
 def test_board_text_roundtrips_invalid_values_before_validation():
     # region-invalid boards stay representable; values outside 0..4 do not
     b = Board.from_text("1" * 16)
@@ -135,6 +147,30 @@ def test_board_text_roundtrips_invalid_values_before_validation():
 def test_board_rejects_impossible_values(values):
     with pytest.raises(ValueError, match=r"^not 16 board values in 0\.\.4: \("):
         Board(values)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: Perm((2.0, 1.0, 3.0, 4.0)), r"not a bijection on 1\.\.4: \(2\.0, 1\.0, 3\.0, 4\.0\)"),
+        (lambda: Perm((2, True)), r"not a bijection on 1\.\.2: \(2, True\)"),
+        (lambda: Perm([2, 1, 3, 4]), r"not a bijection on 1\.\.4: \[2, 1, 3, 4\]"),
+        (lambda: Board([1, 2, 3, 4] * 4), r"not 16 board values in 0\.\.4: \[1, 2, 3, 4, "),
+        (lambda: SymmetryElement(gen_t().image, Perm.identity(4)), r"symmetry element wants .*parts"),
+        (lambda: SymmetryElement(gen_t(), (1, 2, 3, 4)), r"symmetry element wants .*parts"),
+    ],
+    ids=["perm-float", "perm-bool", "perm-list", "board-list", "element-tuple-pos", "element-tuple-rel"],
+)
+def test_records_reject_fields_that_would_break_them_later(make, message):
+    # a float image breaks str() and products, a list breaks hashing and
+    # the board lookups, a tuple part breaks every element method
+    with pytest.raises(ValueError, match=f"^{message}") as got:
+        make()
+    assert "\n" not in str(got.value)
+
+
+def test_perm_of_degree_zero_still_builds():
+    assert Perm(()).degree == 0 and Perm(()).is_identity
 
 
 def test_board_records_hash_assign_and_sort_as_field_tuples():

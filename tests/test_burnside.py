@@ -166,14 +166,14 @@ def test_burnside_rejects_non_groups():
 
 def test_invariance_table_trivial():
     table = invariance_table(trivial_group())
-    assert [(cls.size, count) for cls, count in table] == [(1, 288)]
+    assert [(len(cls), count) for cls, count in table] == [(1, 288)]
 
 
 def test_invariance_table_full_position_group():
     table = invariance_table(position_group())
-    assert sorted((cls.size, count) for cls, count in table) == POSITION_GROUP_TABLE
+    assert sorted((len(cls), count) for cls, count in table) == POSITION_GROUP_TABLE
     # Burnside consistency: the table total over the product order gives 2
-    assert sum(cls.size * count for cls, count in table) == 2 * 3072
+    assert sum(len(cls) * count for cls, count in table) == 2 * 3072
 
 
 def test_invariance_table_rejects_mixed_group():
@@ -225,14 +225,14 @@ def test_invariant_count_rejects_a_cell_permutation_outside_h4():
 
 
 def test_invariant_count_constant_on_classes():
-    # invariance_table counts each class on its representative only
+    # invariance_table counts each class on its minimal element only
     classes = conjugacy_classes(position_group())
-    assert sum(cls.size for cls in classes) == 128
-    rows = [(cls.size, invariant_count(cls.representative.pos)) for cls in classes]
+    assert sum(map(len, classes)) == 128
+    rows = [(len(cls), invariant_count(min(cls).pos)) for cls in classes]
     assert sorted(rows) == POSITION_GROUP_TABLE
     for cls in classes:
-        counts = {invariant_count(member.pos) for member in cls.members}
-        assert counts == {invariant_count(cls.representative.pos)}
+        counts = {invariant_count(member.pos) for member in cls}
+        assert counts == {invariant_count(min(cls).pos)}
 
 
 def test_fixing_rules_hold_on_examples():

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -122,6 +123,40 @@ def test_nest_graph_components(capsys):
         code, out, _ = run(capsys, "nest-graph", "--factor", factor, "--gens", gens)
         assert code == 0
         assert out.strip() == f"components: {graph.component_count}"
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["nests", "--factor", "s4"], "s4_nests"),
+        (["nests", "--factor", "h4"], "h4_nests"),
+        (["nest-graph", "--factor", "s4", "--gens", "s,t"], "s4_nest_graph"),
+        (["nest-graph", "--factor", "h4", "--gens", "(123)"], "h4_nest_graph"),
+    ],
+    ids=["nests-s4", "nests-h4", "nest-graph-s4", "nest-graph-h4"],
+)
+def test_nest_subcommands_call_the_function_bound_on_cli_at_call_time(monkeypatch, capsys, argv, name):
+    # a function rebound on cli after import (as a tracer rebinds them) is
+    # the one the subcommand calls, once, and no other nest function is
+    calls = Counter()
+    for bound in ("s4_nests", "h4_nests", "s4_nest_graph", "h4_nest_graph"):
+
+        def counted(*args, _f=getattr(cli, bound), _name=bound):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(cli, bound, counted)
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert calls == {name: 1}
+
+
+@pytest.mark.parametrize("gens", ["(\u0661\u0662\u0663)", "(\u0661 \u0662 \u0663)", "(1\u00b2)"])
+def test_nest_graph_takes_ascii_digits_only(capsys, gens):
+    # \d matches Arabic-Indic digits, which int() reads as (1 2 3)
+    code, out, err = run(capsys, "nest-graph", "--factor", "h4", "--gens", gens)
+    assert code == 2 and out == ""
+    assert err == f"error: bad relabeling token {gens!r}: malformed cycle notation: '{gens}'\n"
 
 
 def test_nest_graph_writes_dot(tmp_path, capsys):

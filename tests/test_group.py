@@ -317,9 +317,7 @@ def test_conjugacy_classes_swap_transpose():
     classes = conjugacy_classes(group)
     union = set()
     for c in classes:
-        assert c.representative == min(c.members)
-        assert c.representative in c.members
-        union |= set(c.members)
+        union |= c
     assert union == set(group.elements)
 
 
@@ -335,8 +333,7 @@ def test_conjugacy_classes_match_conjugation_by_every_element_in_order():
             if not any(e in c for c in want):
                 want.append(frozenset(c * e * c.inverse() for c in members))
         classes = conjugacy_classes(group)
-        assert [c.members for c in classes] == want
-        assert all(c.representative == min(c.members) for c in classes)
+        assert list(classes) == want
 
 
 def test_generators_position_parts_generate_the_position_projection():
@@ -351,7 +348,7 @@ def test_generators_position_parts_generate_the_position_projection():
 
 def test_conjugacy_classes_trivial():
     classes = conjugacy_classes(trivial_group())
-    assert len(classes) == 1 and classes[0].size == 1
+    assert len(classes) == 1 and len(classes[0]) == 1
 
 
 def test_conjugacy_class_counts():
@@ -363,8 +360,8 @@ def test_conjugacy_class_counts():
 def test_conjugacy_class_sizes_divide_group_order():
     for group in (position_group(), relabel_group()):
         classes = conjugacy_classes(group)
-        assert sum(c.size for c in classes) == group.order
-        assert all(group.order % c.size == 0 for c in classes)
+        assert sum(map(len, classes)) == group.order
+        assert all(group.order % len(c) == 0 for c in classes)
 
 
 def test_is_subgroup():

@@ -5,6 +5,7 @@ import pytest
 
 from shidoku.board import cell_at, coords
 from shidoku.perm import (
+    RELABEL_GENERATOR_NAMES,
     Perm,
     SymmetryElement,
     gen_r,
@@ -12,7 +13,6 @@ from shidoku.perm import (
     gen_s,
     gen_t,
     grid_perm,
-    relabel_generators,
     relabeling,
 )
 from shidoku.group import position_group
@@ -77,7 +77,8 @@ def test_cycle_roundtrip_over_whole_position_group():
 
 @pytest.mark.parametrize(
     "text",
-    ["(17 2)", "(0 1)", "(1 2)(2 3)", "(1 1)", "(1 2", "1 2)", "(1 a)", "junk"],
+    # int() reads the Arabic-Indic digits as 1 and 2: only ASCII digits are digits
+    ["(17 2)", "(0 1)", "(1 2)(2 3)", "(1 1)", "(1 2", "1 2)", "(1 a)", "junk", "(\u0661 \u0662)", "(1 \u0662)(3 4)"],
 )
 def test_parse_cycles_rejects_malformed(text):
     with pytest.raises(ValueError):
@@ -183,7 +184,7 @@ def test_symmetry_element_rejects_wrong_degrees():
 
 
 def test_relabel_generators_are_the_four_transpositions():
-    names = [p.cycle_notation() for p in relabel_generators()]
+    names = [p.cycle_notation() for p in map(relabeling, RELABEL_GENERATOR_NAMES)]
     assert names == ["(1 2)", "(2 3)", "(3 4)", "(1 4)"]
 
 

@@ -10,7 +10,7 @@ from shidoku.group import (
 )
 from shidoku.action import full_partition, is_complete, orbits
 from shidoku.search import (
-    MINIMAL_COMPLETE_ORDER,
+    default_position_pool,
     default_relabel_pool,
     minimal_order,
     parse_pool_file,
@@ -18,14 +18,24 @@ from shidoku.search import (
 )
 
 
-def result_for(results, position_gens, relabel_gens):
+def position_gens(res, pool=None):
+    """res's position generators: its names read through the position pool."""
+    return [dict(pool or default_position_pool())[name] for name in res.position_names]
+
+
+def relabel_gens(res, pool=None):
+    """res's relabel generators: its names read through the relabel pool."""
+    return [dict(pool or default_relabel_pool())[name] for name in res.relabel_names]
+
+
+def result_for(results, positions, relabelings):
     """Find the result whose generated factor groups match the given ones."""
-    want_pos = generate_position(position_gens).elements
-    want_rel = generate_relabel(relabel_gens).elements
+    want_pos = generate_position(positions).elements
+    want_rel = generate_relabel(relabelings).elements
     for res in results:
         if (
-            generate_position(res.position_gens).elements == want_pos
-            and generate_relabel(res.relabel_gens).elements == want_rel
+            generate_position(position_gens(res)).elements == want_pos
+            and generate_relabel(relabel_gens(res)).elements == want_rel
         ):
             return res
     raise AssertionError("expected group pair not found in search results")
@@ -62,15 +72,15 @@ def test_search_finds_the_known_products(results):
 def test_no_complete_result_below_the_bound(results):
     for res in results:
         if res.complete:
-            assert res.order >= MINIMAL_COMPLETE_ORDER
-        assert res.minimal == (res.complete and res.order == MINIMAL_COMPLETE_ORDER)
+            assert res.order >= minimal_order()
+        assert res.minimal == (res.complete and res.order == minimal_order())
 
 
 def test_complete_results_have_the_full_partition(results):
     sample = [res for res in results if res.complete][:5]
     for res in sample:
         g = direct_product(
-            generate_position(res.position_gens), generate_relabel(res.relabel_gens)
+            generate_position(position_gens(res)), generate_relabel(relabel_gens(res))
         )
         assert orbits(g) == full_partition()
         assert orbits(g).block_count == res.orbit_count
@@ -80,8 +90,8 @@ def test_search_deduplicates_by_element_sets(results):
     keys = set()
     for res in results:
         key = (
-            generate_position(res.position_gens).elements,
-            generate_relabel(res.relabel_gens).elements,
+            generate_position(position_gens(res)).elements,
+            generate_relabel(relabel_gens(res)).elements,
         )
         assert key not in keys
         keys.add(key)
@@ -94,8 +104,8 @@ def test_search_is_deterministic(results):
 
 def test_search_orders_are_products_of_factor_orders(results):
     for res in results:
-        pos_order = generate_position(res.position_gens).order
-        rel_order = generate_relabel(res.relabel_gens).order
+        pos_order = generate_position(position_gens(res)).order
+        rel_order = generate_relabel(relabel_gens(res)).order
         assert res.order == pos_order * rel_order
 
 
@@ -118,7 +128,8 @@ def test_search_with_custom_pools_matches_orbits_of_each_product():
     assert any(res.complete for res in results) and not all(res.complete for res in results)
     for res in results:
         product = direct_product(
-            generate_position(res.position_gens), generate_relabel(res.relabel_gens)
+            generate_position(position_gens(res, position_pool)),
+            generate_relabel(relabel_gens(res, relabel_pool)),
         )
         partition = orbits(product)
         assert res.orbit_count == partition.block_count
