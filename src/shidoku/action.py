@@ -42,7 +42,8 @@ def position_apply(x: Perm, values: tuple[int, ...]) -> tuple[int, ...]:
 
 def is_position_symmetry(x: Perm) -> bool:
     """True iff x maps every valid board to a valid board, that is, x is
-    one of the 128 elements of H4: the gate for user cell permutations."""
+    one of the 128 elements of H4.  A predicate only: group.element_number
+    is what rejects a cell permutation outside H4."""
     return x in factor_tables()[0].numbers
 
 

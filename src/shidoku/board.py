@@ -106,33 +106,23 @@ def validate(values: Iterable[int]) -> bool:
 def enumerate_all() -> tuple[Board, ...]:
     """All 288 valid boards, in lexicographic order.
 
-    Backtracking over cells in index order with per-region bitmasks; the
+    Backtracking over cells in index order: each cell skips the values of
+    the earlier cells that share a region (REGIONS) with it, and the
     ascending candidate order makes the output lexicographic.
     """
+    peers = [{j for region in _REGIONS0 if i in region for j in region if j < i} for i in range(16)]
     boards: list[Board] = []
     vals = [0] * 16
-    rows = [0] * 4
-    cols = [0] * 4
-    blocks = [0] * 4
 
     def fill(i: int) -> None:
         if i == 16:
             boards.append(Board(tuple(vals)))
             return
-        r, c = i // 4, i % 4
-        b = (i // 8) * 2 + c // 2
+        held = {vals[j] for j in peers[i]}
         for v in VALUES:
-            bit = 1 << v
-            if (rows[r] | cols[c] | blocks[b]) & bit:
-                continue
-            vals[i] = v
-            rows[r] |= bit
-            cols[c] |= bit
-            blocks[b] |= bit
-            fill(i + 1)
-            rows[r] ^= bit
-            cols[c] ^= bit
-            blocks[b] ^= bit
+            if v not in held:
+                vals[i] = v
+                fill(i + 1)
 
     fill(0)
     return tuple(boards)

@@ -37,7 +37,7 @@ def relabel_recovery(x: Perm, b: Board) -> Perm | None:
     """The unique relabeling sigma with sigma(x(b)) = b, or None.
 
     sigma must send b[i] to b[x(i)], and a 0 (never renamed) onto a 0.
-    Raises ValueError unless x has degree 16.
+    Raises ValueError unless x is a cell permutation (of degree 16).
     """
     values, cells = b.values, x.image
     if len(cells) != 16:

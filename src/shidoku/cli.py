@@ -28,7 +28,7 @@ from .group import (
     named_group,
     parse_group_description,
 )
-from .action import element_label, is_position_symmetry, orbit_graph, orbits
+from .action import element_label, orbit_graph, orbits
 from .burnside import burnside_orbit_count, invariance_table
 from .graphio import export_nest_graph, export_orbit_graph
 from .nests import h4_nest_graph, h4_nests, s4_nest_graph, s4_nests
@@ -39,16 +39,6 @@ class CliError(Exception):
     """Usage or parse error: exits with status 2."""
 
 
-def _check_position_symmetries(source: str, perms: Iterable[Perm]) -> None:
-    """Reject any cell permutation from source that breaks some board."""
-    for p in perms:
-        if not p.is_identity and not is_position_symmetry(p):
-            raise CliError(
-                f"{source}: {p.cycle_notation()} is not a valid position "
-                "symmetry (it breaks some board)"
-            )
-
-
 def resolve_group(spec: str) -> SymmetryGroup:
     group = named_group(spec)
     if group is not None:
@@ -56,11 +46,9 @@ def resolve_group(spec: str) -> SymmetryGroup:
     path = Path(spec)
     if spec and path.exists():
         try:
-            gens = parse_group_description(path.read_text())
+            return generate(parse_group_description(path.read_text()))
         except ValueError as exc:
             raise CliError(f"{spec}: {exc}") from exc
-        _check_position_symmetries(spec, (e.pos for e in gens))
-        return generate(gens)
     raise CliError(
         f"unknown group spec {spec!r}; use one of {', '.join(GROUP_SHORTHANDS)}, a "
         "<position>x<relabel> product, or a group description file path"
@@ -171,8 +159,13 @@ def _read_pool(path: str | None, degree: int):
 def cmd_search(args) -> int:
     position_pool = _read_pool(args.position_pool, 16)
     relabel_pool = _read_pool(args.relabel_pool, 4)
-    if position_pool is not None:
-        _check_position_symmetries(args.position_pool, (p for _, p in position_pool))
+    try:
+        results = search_products(position_pool, relabel_pool)
+    except ValueError as exc:
+        if position_pool is None:  # the default pools are all valid: a fault, not bad input
+            raise
+        # a position generator outside H4, named by element_number's message
+        raise CliError(f"{args.position_pool}: {exc}") from exc
     rows = [
         {
             "position_gens": list(res.position_names),
@@ -182,7 +175,7 @@ def cmd_search(args) -> int:
             "complete": res.complete,
             "minimal": res.minimal,
         }
-        for res in search_products(position_pool, relabel_pool)
+        for res in results
     ]
     rows = [r for r in rows if r["minimal"] or not args.minimal_only]
     yes = {True: "yes", False: "no"}

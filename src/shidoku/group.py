@@ -394,9 +394,8 @@ def parse_group_description(text: str) -> list[SymmetryElement]:
         ...
 
     Empty cycle strings denote identities.  Raises ValueError on
-    malformed input.  generate rejects a position part outside H4 with
-    element_number's one-line ValueError; cli checks each one first with
-    action.is_position_symmetry only to word its own message.
+    malformed input.  A position part outside H4 parses; generate rejects
+    it with element_number's one-line ValueError.
     """
     lines = [line.strip() for line in text.split("\n")]
     lines = [line for line in lines if line and not line.startswith("#")]
@@ -404,9 +403,7 @@ def parse_group_description(text: str) -> list[SymmetryElement]:
         raise ValueError("group description must start with a 'generators:' line")
     gens: list[SymmetryElement] = []
     for line in lines[1:]:
-        if ";" not in line:
-            raise ValueError(f"bad generator line (want 'pos=...; rel=...'): {line!r}")
-        pos_part, rel_part = (half.strip() for half in line.split(";", 1))
+        pos_part, _, rel_part = (half.strip() for half in line.partition(";"))
         if not pos_part.startswith("pos=") or not rel_part.startswith("rel="):
             raise ValueError(f"bad generator line (want 'pos=...; rel=...'): {line!r}")
         pos = Perm.from_cycles(pos_part[len("pos=") :], 16)

@@ -158,25 +158,23 @@ def s4_nest_of(b: Board) -> str:
 
 def _nest_graph(
     gens: Iterable[Perm],
-    degree: int,
     factor_nests: Callable[[], tuple[Nest, ...]],
     element: Callable[[Perm], SymmetryElement],
     canonicalize: Callable[[Board], tuple[Board, Perm]],
 ) -> Graph:
-    """Induced action of one factor's generators, each of the given degree,
-    on the other factor's nests, factor_nests(), as a Graph whose nodes
-    are their labels, in factor_nests() order: each representative moves
-    by element(g)'s board image to a board k, and _canonical(canonicalize,
-    k) = (form, fix) gives the edge's target, the nest that form
-    represents, and its aux, fix; the edge's label is perm_label(g).
-    element_number rejects a generator outside H4 x S4."""
+    """Induced action of one factor's generators on the other factor's
+    nests, factor_nests(), as a Graph whose nodes are their labels, in
+    factor_nests() order: each representative moves by element(g)'s board
+    image to a board k, and _canonical(canonicalize, k) = (form, fix)
+    gives the edge's target, the nest that form represents, and its aux,
+    fix; the edge's label is perm_label(g).  element (SymmetryElement's
+    from_position or from_relabeling) rejects a generator of the other
+    degree, and element_number one outside H4 x S4."""
     nests = factor_nests()
     reps = [board_number(n.representative) for n in nests]
     label = {n.representative: n.label for n in nests}
     edges = []
     for g in gens:
-        if g.degree != degree:
-            raise ValueError(f"generator {perm_label(g)!r} has degree {g.degree}, want {degree}")
         name, directed = perm_label(g), not (g * g).is_identity
         moved = image(element_number(element(g)))
         for n, rep in zip(nests, reps):
@@ -193,7 +191,7 @@ def s4_nest_graph(gens: Iterable[Perm]) -> Graph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 16, s4_nests, SymmetryElement.from_position, s4_canonicalize_with_transform
+        gens, s4_nests, SymmetryElement.from_position, s4_canonicalize_with_transform
     )
 
 
@@ -204,25 +202,23 @@ def h4_nest_graph(gens: Iterable[Perm]) -> Graph:
     representative to canonical form.
     """
     return _nest_graph(
-        gens, 4, h4_nests, SymmetryElement.from_relabeling, h4_canonicalize_with_transform
+        gens, h4_nests, SymmetryElement.from_relabeling, h4_canonicalize_with_transform
     )
 
 
 def completeness_via_nests(gens: Iterable[Perm]) -> bool:
     """Completeness read off a nest graph.
 
-    The generators are bare Perms.  Degree-16 ones are taken as position
-    generators acting on the value nests (testing <gens> x
-    all-relabelings), degree-4 ones act on the position nests (testing
-    all-position-symmetries x <gens>), and none gives False.  True iff
-    the graph has exactly two components: its components are the orbits
-    of a subgroup of the full group, gathered into nests, so they refine
-    the full group's two orbits, the Type 1 and Type 2 classes, and two
-    components are those classes.
+    The generators are bare Perms, and the first one's degree picks the
+    graph.  Degree-16 ones are taken as position generators acting on
+    the value nests (testing <gens> x all-relabelings), degree-4 ones act
+    on the position nests (testing all-position-symmetries x <gens>), a
+    mix raises SymmetryElement's ValueError, and none gives False.  True
+    iff the graph has exactly two components: its components are the
+    orbits of a subgroup of the full group, gathered into nests, so they
+    refine the full group's two orbits, the Type 1 and Type 2 classes,
+    and two components are those classes.
     """
     gens = list(gens)
-    degrees = {g.degree for g in gens}
-    if degrees not in ({16}, {4}, set()):
-        raise ValueError("generators must be all degree 16 or all degree 4")
-    nest_graph = s4_nest_graph if degrees == {16} else h4_nest_graph
+    nest_graph = s4_nest_graph if gens and gens[0].degree == 16 else h4_nest_graph
     return bool(gens) and len(nest_graph(gens).components()) == 2

@@ -35,8 +35,8 @@ _new = tuple.__new__
 
 class Perm(namedtuple("Perm", "image")):
     """A bijection on {1..n}, stored as the image tuple: image[i-1] = p(i).
-    The image must be a tuple of ints (not bools); anything else raises
-    ValueError.
+    The image must be a tuple of ints (not bools); anything else, an
+    object without a length too, raises ValueError.
 
     An immutable tuple record (image,): hashing, equality and ordering
     are the tuple's, so ordering is lexicographic on the image, giving
@@ -48,7 +48,8 @@ class Perm(namedtuple("Perm", "image")):
     def __new__(cls, image: tuple[int, ...]) -> "Perm":
         ints = type(image) is tuple and {int}.issuperset(map(type, image))
         if not ints or sorted(image) != list(range(1, len(image) + 1)):
-            raise ValueError(f"not a bijection on 1..{len(image)}: {image!r}")
+            size = len(image) if hasattr(image, "__len__") else "n"  # Perm(5) has none
+            raise ValueError(f"not a bijection on 1..{size}: {image!r}")
         return tuple.__new__(cls, (image,))
 
     # _replace builds through _make: validate there too

@@ -155,15 +155,22 @@ def test_board_rejects_impossible_values(values):
         (lambda: Perm((2.0, 1.0, 3.0, 4.0)), r"not a bijection on 1\.\.4: \(2\.0, 1\.0, 3\.0, 4\.0\)"),
         (lambda: Perm((2, True)), r"not a bijection on 1\.\.2: \(2, True\)"),
         (lambda: Perm([2, 1, 3, 4]), r"not a bijection on 1\.\.4: \[2, 1, 3, 4\]"),
+        (lambda: Perm(5), r"not a bijection on 1\.\.n: 5$"),
+        (lambda: Perm(None), r"not a bijection on 1\.\.n: None$"),
+        (lambda: Perm(x for x in (1, 2)), r"not a bijection on 1\.\.n: <generator object "),
         (lambda: Board([1, 2, 3, 4] * 4), r"not 16 board values in 0\.\.4: \[1, 2, 3, 4, "),
         (lambda: SymmetryElement(gen_t().image, Perm.identity(4)), r"symmetry element wants .*parts"),
         (lambda: SymmetryElement(gen_t(), (1, 2, 3, 4)), r"symmetry element wants .*parts"),
     ],
-    ids=["perm-float", "perm-bool", "perm-list", "board-list", "element-tuple-pos", "element-tuple-rel"],
+    ids=[
+        "perm-float", "perm-bool", "perm-list", "perm-int", "perm-none", "perm-generator",
+        "board-list", "element-tuple-pos", "element-tuple-rel",
+    ],
 )
 def test_records_reject_fields_that_would_break_them_later(make, message):
     # a float image breaks str() and products, a list breaks hashing and
-    # the board lookups, a tuple part breaks every element method
+    # the board lookups, a tuple part breaks every element method; an
+    # image without a length has no degree for the message to name
     with pytest.raises(ValueError, match=f"^{message}") as got:
         make()
     assert "\n" not in str(got.value)

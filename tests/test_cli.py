@@ -252,12 +252,18 @@ def test_group_description_file(tmp_path, capsys):
     assert len(out.splitlines()) == 48
 
 
+# group.element_number's message for the cell swap (1 2), naming the board
+# it breaks; the cli prefixes the name of the file that holds the swap
+BROKEN_BY_1_2 = "symmetry pos=(1 2); rel= moves a board to 2134341221434321, not a valid board"
+
+
 def test_invalid_position_symmetry_in_file(tmp_path, capsys):
     path = tmp_path / "bad.txt"
     path.write_text("generators:\npos=(1 2); rel=\n")
-    code, _, err = run(capsys, "orbits", "--group", str(path))
+    code, out, err = run(capsys, "orbits", "--group", str(path))
     assert code == 2
-    assert "not a valid position symmetry" in err
+    assert out == ""
+    assert err == f"error: {path}: {BROKEN_BY_1_2}\n"
 
 
 def test_bad_pool_file_is_named(tmp_path, capsys):
@@ -285,8 +291,22 @@ def test_invalid_position_symmetry_in_pool_file(tmp_path, capsys):
     code, out, err = run(capsys, "search", "--position-pool", str(pool))
     assert code == 2
     assert out == ""
-    assert err.count("\n") == 1
-    assert "(1 2) is not a valid position symmetry" in err
+    assert err == f"error: {pool}: {BROKEN_BY_1_2}\n"
+
+
+@pytest.mark.parametrize("pools", [[], ["--relabel-pool", "{pool}"]], ids=["default-pools", "relabel-pool"])
+def test_search_fault_without_a_position_pool_is_not_bad_input(tmp_path, capsys, monkeypatch, pools):
+    # only a user's position pool may hold a generator that search_products
+    # rejects; without one, a ValueError from it is a fault and propagates
+    pool = tmp_path / "pool.txt"
+    pool.write_text("a=(1 2)\n")
+
+    def broken(position_pool, relabel_pool):
+        raise ValueError("fault inside search_products")
+
+    monkeypatch.setattr(cli, "search_products", broken)
+    with pytest.raises(ValueError, match="^fault inside search_products$"):
+        cli.main(["search", *(arg.format(pool=pool) for arg in pools)])
 
 
 @pytest.mark.parametrize(

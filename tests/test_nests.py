@@ -352,11 +352,15 @@ def test_nest_graph_rejects_a_cell_permutation_outside_h4(cycle):
 
 
 def test_nest_graph_rejects_mixed_or_wrong_degree():
-    with pytest.raises(ValueError):
+    # SymmetryElement's own degree check is the only one on this path
+    want = r"^symmetry element wants \(degree-16, degree-4\) parts$"
+    with pytest.raises(ValueError, match=want):
         completeness_via_nests([gen_s(), relabeling("(1 2)")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=want):
+        completeness_via_nests([relabeling("(1 2)"), gen_s()])
+    with pytest.raises(ValueError, match=want):
         s4_nest_graph([relabeling("(1 2)")])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=want):
         h4_nest_graph([gen_s()])
 
 
