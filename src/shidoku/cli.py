@@ -137,7 +137,10 @@ def cmd_nests(args) -> int:
 def cmd_nest_graph(args) -> int:
     s4 = args.factor == "s4"
     parse_token = _parse_position_token if s4 else _parse_relabel_token
-    gens = [parse_token(token.strip()) for token in args.gens.split(",") if token.strip()]
+    tokens = [token.strip() for token in args.gens.split(",")] if args.gens else []
+    if "" in tokens:
+        raise CliError(f"empty generator token in --gens {args.gens!r}")
+    gens = list(map(parse_token, tokens))
     graph = (s4_nest_graph if s4 else h4_nest_graph)(gens)
     if args.dot is not None:
         name = f"{args.factor}-nests[{','.join(map(perm_label, gens))}]"

@@ -15,7 +15,8 @@ relabeling in K taking the orbit's smallest board to it (for K = S4,
 the boards' value-nest coordinates), and cocycle() tables from these
 how each position symmetry moves the value nests, x(b_i) = rho(b_j).
 Closure walks position parts only (at most 128), one coset of the
-relabel-only kernel each, and closes that kernel in the 24 x 24 table.
+relabel-only kernel each, and grows that kernel by memoised joins on
+S4's 30 subgroups, one per Schreier generator not already in it.
 A group keeps that closure, a relabel part over each position part and
 the kernel, and its generators' numbers; order, the factor tests, direct
 products, the action's orbit quotient and burnside's orbit counts read
@@ -174,29 +175,38 @@ def _inverse(a: int) -> int:
     return position.inverses[p] * RELABELINGS + relabel.inverses[r]
 
 
+@lru_cache(maxsize=None)  # keyed by (subgroup of S4, relabeling): at most 30 x 24 keys
+def _join(kernel: frozenset[int], s: int) -> frozenset[int]:
+    """The subgroup of S4 that kernel and relabeling s generate, closed
+    in the 24 x 24 table."""
+    relabel = factor_tables()[1].products
+    joined = [0]
+    for k in joined:
+        joined += {relabel[g][k] for g in (s, *kernel)}.difference(joined)
+    return frozenset(joined)
+
+
 def _closure(gens: Iterable[int]) -> tuple[dict[int, int], frozenset[int]]:
     """The group G that element numbers gens generate, as (section, K):
     breadth-first search over position parts p gives G's position
     projection, the keys of section, with one relabel part section[p]
     over each; reaching a seen p with relabel part t gives
     section[p]^-1 t, a Schreier generator of K = {sigma : (1, sigma) in G},
-    closed in the 24 x 24 table.  G is every (p, section[p] * k), k in K."""
+    and K, a subgroup of S4 from the start, is joined with each one not
+    already in it.  G is every (p, section[p] * k), k in K."""
     tables = factor_tables()
     position, relabel, inverses = tables[0].products, tables[1].products, tables[1].inverses
     rows = [(position[p], relabel[r]) for p, r in (divmod(g, RELABELINGS) for g in gens)]
-    section, queue, schreier = {0: 0}, [0], set()
+    section, queue, kernel = {0: 0}, [0], frozenset({0})
     for p in queue:
         for position_row, relabel_row in rows:
             q, t = position_row[p], relabel_row[section[p]]
             if q not in section:
                 section[q] = t
                 queue.append(q)
-            elif section[q] != t:
-                schreier.add(relabel[inverses[section[q]]][t])
-    kernel = [0]
-    for k in kernel:
-        kernel += {relabel[s][k] for s in schreier}.difference(kernel)
-    return section, frozenset(kernel)
+            elif (s := relabel[inverses[section[q]]][t]) not in kernel:
+                kernel = _join(kernel, s)
+    return section, kernel
 
 
 def _numbers(section: dict[int, int], kernel: frozenset[int]) -> frozenset[int]:

@@ -350,6 +350,22 @@ def test_unknown_position_generator(capsys):
     assert err == "error: unknown position generator 'q'; use r, r2, s, t\n"
 
 
+@pytest.mark.parametrize(
+    "factor, gens", [("s4", "s,,t"), ("s4", ",s"), ("h4", "(12),"), ("s4", " "), ("h4", "(12), ")]
+)
+def test_empty_generator_token_exits_2_with_one_line(capsys, factor, gens):
+    # an empty token in a non-empty list is a typo, not a generator left out
+    code, out, err = run(capsys, "nest-graph", "--factor", factor, "--gens", gens)
+    assert code == 2 and out == ""
+    assert err == f"error: empty generator token in --gens {gens!r}\n"
+
+
+@pytest.mark.parametrize("factor, components", [("s4", 12), ("h4", 6)])
+def test_empty_gens_means_no_generators(capsys, factor, components):
+    code, out, err = run(capsys, "nest-graph", "--factor", factor, "--gens", "")
+    assert (code, out, err) == (0, f"components: {components}\n", "")
+
+
 def test_unknown_group_spec(capsys):
     for spec in ("nonsense", ""):
         code, _, err = run(capsys, "orbits", "--group", spec)

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -212,6 +213,44 @@ def test_closure_reaches_relabel_only_elements_through_mixed_generators(gens):
     # |G| = |position projection| * |relabel-only kernel|
     assert got.order == len(position_parts(got)) * len(kernel)
     assert len(position_parts(got)) == len({e.pos for e in want})
+
+
+def _perm_closure(perms: list[Perm]) -> frozenset[Perm]:
+    """The group perms generate, closed under Perm products: no factor table."""
+    closed = [Perm.identity(4)]
+    for p in closed:
+        closed += {g * p for g in perms}.difference(closed)
+    return frozenset(closed)
+
+
+def test_join_reaches_the_30_subgroups_of_s4_as_perm_products_close_them():
+    relabelings = factor_tables()[1].elements
+    subgroups = [frozenset({0})]
+    for kernel in subgroups:
+        for s in range(RELABELINGS):
+            joined = group_module._join(kernel, s)
+            want = _perm_closure([relabelings[k] for k in kernel] + [relabelings[s]])
+            assert {relabelings[k] for k in joined} == want
+            if joined not in subgroups:
+                subgroups.append(joined)
+    orders = Counter(map(len, subgroups))
+    assert orders == {1: 1, 2: 9, 3: 4, 4: 7, 6: 4, 8: 3, 12: 1, 24: 1}
+    assert group_module._join.cache_info().currsize <= 30 * RELABELINGS
+
+
+def test_kernel_is_the_relabel_only_part_of_the_oracle_closure():
+    relabelings = factor_tables()[1].elements
+    elements = full_group().sorted_elements()
+    mixed = [e for e in elements if not e.pos.is_identity and not e.rel.is_identity]
+    rng = random.Random(15)
+    kernels = Counter()
+    for _ in range(200):
+        gens = rng.sample(mixed, rng.randint(1, 3))
+        want = {e.rel for e in oracle_closure(gens) if e.pos.is_identity}
+        kernel = generate(gens).kernel
+        assert {relabelings[k] for k in kernel} == want
+        kernels[len(kernel)] += 1
+    assert len(kernels) > 3  # trivial, small and large kernels all occur
 
 
 def _evaluated_products(monkeypatch) -> list[tuple[SymmetryGroup, SymmetryGroup, SymmetryGroup]]:
