@@ -87,19 +87,19 @@ class Board(namedtuple("Board", "values")):
 
 
 def validate(values: Iterable[int]) -> bool:
-    """True iff the 16 entries satisfy all 12 region constraints.
+    """True iff the 16 entries are ints, as Board takes them (no bools),
+    and satisfy all 12 region constraints.
 
-    Total: any input (wrong length, out-of-range entries) returns False.
+    Total: any input (not iterable, wrong length, entries of another type
+    or out of range) returns False.
     """
-    vals = tuple(values)
-    if len(vals) != 16:
-        return False
     try:
-        return all(
-            {vals[i] for i in region} == _VALUE_SET for region in _REGIONS0
-        )
+        vals = tuple(values)
     except TypeError:
         return False
+    if len(vals) != 16 or set(map(type, vals)) != {int}:
+        return False
+    return all({vals[i] for i in region} == _VALUE_SET for region in _REGIONS0)
 
 
 @lru_cache(maxsize=1)

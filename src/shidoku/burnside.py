@@ -7,7 +7,11 @@ value-nest coordinates and x(b_i) = rho(b_j) from group.cocycle,
 nests x fixes, and there the tau(b_i) with sigma = tau rho^-1 tau^-1,
 |C(sigma)| boards if sigma is conjugate to rho, else none.  Fixed counts,
 invariant counts and a group's Burnside total, summed over the cosets of
-its relabel-only kernel (_coset_fixed), are sums over fixed nests.
+its relabel-only kernel (_coset_fixed), are sums over fixed nests.  So a
+general group's orbit count (burnside_orbit_count) sums over its
+position parts, while a product h x s's is a dot product of two factor
+rows, h's position_tally of fixed nests by rho and s's relabel_weights
+(product_orbit_count), each found once per factor by search.
 undo_row(p) names, board by board, the relabeling that undoes x_p, read
 off the coordinates and not the cocycle, for verify's fixing-rules
 check; relabel_recovery finds it on one board from its cells.
@@ -101,16 +105,45 @@ def fixed_points(e: SymmetryElement) -> int:
     return _fixed_total([divmod(element_number(e), RELABELINGS)], frozenset({0}))
 
 
+def _average(total: int, order: int) -> int:
+    if total % order != 0:
+        raise ValueError(f"fixed-point total {total} not divisible by group order {order}")
+    return total // order
+
+
 def burnside_orbit_count(g: SymmetryGroup) -> int:
     """Orbit count as the average fixed-point count over g's elements,
     summed over the cosets of its relabel-only kernel, one over each
     position part.  Raises ValueError if the total is not divisible by
     |g| (an action bug or a non-group input).
     """
-    total = _fixed_total(g.section.items(), g.kernel)
-    if total % g.order != 0:
-        raise ValueError(f"fixed-point total {total} not divisible by group order {g.order}")
-    return total // g.order
+    return _average(_fixed_total(g.section.items(), g.kernel), g.order)
+
+
+def position_tally(h: SymmetryGroup) -> list[int]:
+    """Entry rho counts the pairs (x, value nest that x fixes with cocycle
+    value rho), x in the position-only group h."""
+    if not h.is_position_only():
+        raise ValueError("position tally wants a position-only group")
+    fixed, tally = cocycle()[1], [0] * RELABELINGS
+    for p in h.section:
+        for rho in fixed[p]:
+            tally[rho] += 1
+    return tally
+
+
+def relabel_weights(s: SymmetryGroup) -> tuple[int, ...]:
+    """Entry rho is the fixed points of the elements (x, sigma), sigma in
+    s's relabel-only kernel (s itself if s is relabel-only), on a value
+    nest that x fixes with cocycle value rho."""
+    return _coset_fixed(s.kernel)[0]
+
+
+def product_orbit_count(tally: list[int], weights: tuple[int, ...], order: int) -> int:
+    """burnside_orbit_count of h x s, given h's position_tally, s's
+    relabel_weights and the order |h| |s|: its fixed-point total is the
+    tally dotted with the weights.  Raises the same ValueError."""
+    return _average(sum(map(mul, tally, weights)), order)
 
 
 def invariance_table(h: SymmetryGroup) -> tuple[tuple[frozenset[SymmetryElement], int], ...]:

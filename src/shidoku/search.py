@@ -4,18 +4,26 @@ Candidates are direct products <P> x <R> for P, R subsets of finite
 generator pools; the default pools are the rotation/half-turn/row-swap/
 transpose position generators and the four standard transpositions plus
 one 3-cycle of relabelings.  Products' orbits are counted by Burnside's
-lemma (burnside_orbit_count), not labeled.
+lemma, not labeled: from each position factor's tally and each relabel
+factor's weights (burnside.product_orbit_count), one dot product per
+product; other groups' orbits are counted by burnside_orbit_count.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
-from .group import direct_product, generate_position, generate_relabel
-from .perm import RELABEL_GENERATOR_NAMES, Perm, relabeling, standard_position_generators
+from .group import direct_product, generate
+from .perm import (
+    RELABEL_GENERATOR_NAMES,
+    Perm,
+    SymmetryElement,
+    relabeling,
+    standard_position_generators,
+)
 from .action import full_partition
-from .burnside import burnside_orbit_count
+from .burnside import position_tally, product_orbit_count, relabel_weights
 
 NamedPerm = tuple[str, Perm]
 
@@ -63,14 +71,24 @@ def _subsets(pool: tuple[NamedPerm, ...]):
         yield from combinations(pool, size)
 
 
+def _subset_groups(pool: tuple[NamedPerm, ...], make: Callable[[Perm], SymmetryElement]):
+    """(names, group) for every subset of the pool, in _subsets order, each
+    pool entry made a SymmetryElement once."""
+    made = tuple((name, make(p)) for name, p in pool)
+    for subset in _subsets(made):
+        yield tuple(name for name, _ in subset), generate(e for _, e in subset)
+
+
 def search_products(
     position_pool: tuple[NamedPerm, ...] | None = None,
     relabel_pool: tuple[NamedPerm, ...] | None = None,
 ) -> tuple[SearchResult, ...]:
     """Evaluate every (position subset, relabel subset) pair as a direct
     product.  Each distinct product is built once and its orbits counted
-    by burnside_orbit_count; as a subgroup's orbits refine the full
-    group's, it is complete iff it has as many.  No orbit is labeled.
+    from its factors by product_orbit_count: every position subgroup's
+    tally and every relabel subgroup's weights are found once, so a
+    product costs one dot product.  As a subgroup's orbits refine the
+    full group's, it is complete iff it has as many.  No orbit is labeled.
 
     Results are deduplicated by the underlying element sets, which the
     factors' position parts and relabel kernel determine (the first,
@@ -82,42 +100,36 @@ def search_products(
         relabel_pool = default_relabel_pool()
 
     position_groups = [
-        (subset, generate_position(p for _, p in subset))
-        for subset in _subsets(position_pool)
+        (names, group, position_tally(group))
+        for names, group in _subset_groups(position_pool, SymmetryElement.from_position)
     ]
     relabel_groups = [
-        (subset, generate_relabel(p for _, p in subset))
-        for subset in _subsets(relabel_pool)
+        (names, group, relabel_weights(group))
+        for names, group in _subset_groups(relabel_pool, SymmetryElement.from_relabeling)
     ]
 
     full_count = full_partition().block_count
     seen: set[tuple[frozenset[int], frozenset[int]]] = set()
     results: list[SearchResult] = []
-    for pos_subset, pos_group in position_groups:
+    for pos_names, pos_group, tally in position_groups:
         positions = frozenset(pos_group.section)
-        for rel_subset, rel_group in relabel_groups:
+        for rel_names, rel_group, weights in relabel_groups:
             key = (positions, rel_group.kernel)
             if key in seen:
                 continue
             seen.add(key)
-            product = direct_product(pos_group, rel_group)
-            count = burnside_orbit_count(product)
-            results.append(
-                SearchResult(
-                    position_names=tuple(name for name, _ in pos_subset),
-                    relabel_names=tuple(name for name, _ in rel_subset),
-                    order=product.order,
-                    orbit_count=count,
-                    complete=count == full_count,
-                )
-            )
+            order = direct_product(pos_group, rel_group).order
+            count = product_orbit_count(tally, weights, order)
+            results.append(SearchResult(pos_names, rel_names, order, count, count == full_count))
     return tuple(sorted(results, key=lambda res: (res.order, res.label)))
 
 
 def parse_pool_file(text: str, degree: int) -> tuple[NamedPerm, ...]:
     """Parse a generator pool file: one 'name=<cycles>' entry per line.
 
-    Blank lines and '#' comments are ignored; a name may appear once.
+    Blank lines and '#' comments are ignored; a name may appear once, and
+    may not be '-' or hold a ',', as a search row reads '-' as the empty
+    subset and ',' between names.
     """
     pool: dict[str, Perm] = {}
     for line in text.split("\n"):
@@ -127,8 +139,8 @@ def parse_pool_file(text: str, degree: int) -> tuple[NamedPerm, ...]:
         if "=" not in line:
             raise ValueError(f"bad pool line (want 'name=<cycles>'): {line!r}")
         name, cycles = (part.strip() for part in line.split("=", 1))
-        if not name:
-            raise ValueError(f"bad pool line (empty name): {line!r}")
+        if not name or name == "-" or "," in name:
+            raise ValueError(f"bad pool line (name empty, '-' or holding ','): {line!r}")
         if name in pool:
             raise ValueError(f"bad pool line (repeated name {name!r}): {line!r}")
         pool[name] = Perm.from_cycles(cycles, degree)

@@ -19,6 +19,8 @@ from helpers import (
     oracle,
 )
 
+TYPE1_VALUES = Board.from_text(TYPE1_TEXT).values
+
 
 def test_region_layout():
     assert len(REGIONS) == 12
@@ -42,6 +44,9 @@ def test_validate_known_boards():
         (0,) + (1, 2, 3, 4) * 3 + (1, 2, 3),
         (5,) * 16,
         ("x",) * 16,
+        tuple(map(float, TYPE1_VALUES)),  # Board rejects floats
+        (True,) + TYPE1_VALUES[1:],  # and bools
+        None,
     ],
 )
 def test_validate_is_total(values):

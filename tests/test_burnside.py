@@ -28,7 +28,10 @@ from shidoku.burnside import (
     fixed_points,
     invariance_table,
     invariant_count,
+    position_tally,
+    product_orbit_count,
     relabel_recovery,
+    relabel_weights,
     undo_row,
 )
 from helpers import (
@@ -162,6 +165,26 @@ def test_burnside_rejects_non_groups():
     assert fake.numbers == frozenset(map(element_number, elements))
     with pytest.raises(ValueError, match="not divisible by group order 5"):
         burnside_orbit_count(fake)
+
+
+def test_position_tally_counts_the_fixed_nests():
+    # 24 boards per value nest that x maps to itself, whatever its rho
+    for g in (trivial_group(), named_group("st"), position_group()):
+        tally = position_tally(g)
+        assert len(tally) == RELABELINGS
+        assert 24 * sum(tally) == sum(invariant_count(e.pos) for e in g.elements)
+    assert position_tally(trivial_group()) == [12] + [0] * (RELABELINGS - 1)
+    with pytest.raises(ValueError, match="position tally wants a position-only group"):
+        position_tally(named_group("stxS4"))
+
+
+def test_product_orbit_count_rejects_a_total_the_order_does_not_divide():
+    # the identity fixes the 12 value nests, each with 24 boards: 288
+    # fixed points, divisible by 1 but not by 5
+    tally, weights = position_tally(trivial_group()), relabel_weights(trivial_group())
+    assert product_orbit_count(tally, weights, 1) == 288
+    with pytest.raises(ValueError, match="^fixed-point total 288 not divisible by group order 5$"):
+        product_orbit_count(tally, weights, 5)
 
 
 def test_invariance_table_trivial():

@@ -285,6 +285,20 @@ def test_pool_file_with_a_repeated_name_is_rejected(tmp_path, capsys):
     assert err == f"error: {pool}: bad pool line (repeated name 'a'): 'a=(2 3)'\n"
 
 
+@pytest.mark.parametrize("name", ["-", "r,s"])
+def test_pool_name_a_search_row_would_misread_is_rejected(tmp_path, capsys, name):
+    # rows print pos=- for the empty subset and join names with ','
+    pool = tmp_path / "p.txt"
+    pool.write_text(f"{name}=(9 13)(10 14)(11 15)(12 16)\n")
+    code, out, err = run(capsys, "search", "--position-pool", str(pool))
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: {pool}: bad pool line (name empty, '-' or holding ','): "
+        f"'{name}=(9 13)(10 14)(11 15)(12 16)'\n"
+    )
+
+
 def test_invalid_position_symmetry_in_pool_file(tmp_path, capsys):
     pool = tmp_path / "pool.txt"
     pool.write_text("x=(1 2)\n")

@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from shidoku import search
 from shidoku.perm import Perm, SymmetryElement, gen_r, gen_r2, gen_s, gen_t, relabeling
 from shidoku.group import (
     SymmetryGroup,
@@ -7,8 +10,11 @@ from shidoku.group import (
     generate,
     generate_position,
     generate_relabel,
+    position_group,
+    relabel_group,
 )
 from shidoku.action import full_partition, is_complete, orbits
+from shidoku.burnside import _fixed_total, burnside_orbit_count
 from shidoku.search import (
     default_position_pool,
     default_relabel_pool,
@@ -16,6 +22,7 @@ from shidoku.search import (
     parse_pool_file,
     search_products,
 )
+from helpers import called_codes
 
 
 def position_gens(res, pool=None):
@@ -109,6 +116,45 @@ def test_search_orders_are_products_of_factor_orders(results):
         assert res.order == pos_order * rel_order
 
 
+@pytest.mark.parametrize("seed", [None, 3, 5, 7], ids=["default", "seed-3", "seed-5", "seed-7"])
+def test_orbit_counts_match_the_sum_over_position_parts(seed):
+    # the factor tallies against burnside_orbit_count, which sums over
+    # every position part of the product; a seed adds one H4 and one S4
+    # element to the default pools
+    pools = default_position_pool(), default_relabel_pool()
+    if seed is not None:
+        rng = random.Random(seed)
+        x = rng.choice(position_group().sorted_elements()).pos
+        sigma = rng.choice(relabel_group().sorted_elements()).rel
+        pools = pools[0] + (("x", x),), pools[1] + (("y", sigma),)
+    results = search_products(*pools)
+    assert len(results) == 156 if seed is None else len(results) > 156
+    for res in results:
+        product = direct_product(
+            generate_position(position_gens(res, pools[0])),
+            generate_relabel(relabel_gens(res, pools[1])),
+        )
+        assert res.order == product.order
+        assert res.orbit_count == burnside_orbit_count(product)
+
+
+def test_search_sums_over_no_position_parts(monkeypatch):
+    # one direct_product per row, through the binding on search, and no
+    # per-product Burnside sum
+    products = []
+
+    def counting(h, s):
+        products.append(direct_product(h, s))
+        return products[-1]
+
+    monkeypatch.setattr(search, "direct_product", counting)
+    results = []
+    called = called_codes(lambda: results.extend(search_products()))
+    assert search_products.__code__ in called
+    assert not called & {_fixed_total.__code__, burnside_orbit_count.__code__}
+    assert len(products) == len(results) == 156
+
+
 def test_search_with_custom_pools():
     results = search_products(
         position_pool=(("s", gen_s()), ("t", gen_t())),
@@ -138,13 +184,25 @@ def test_search_with_custom_pools_matches_orbits_of_each_product():
 
 def test_parse_pool_file():
     text = "# comment\nr=(1 4 16 13)(2 8 15 9)(3 12 14 5)(6 7 11 10)\n\ns=(9 13)(10 14)(11 15)(12 16)\n"
-    pool = parse_pool_file(text, 16)
-    assert [name for name, _ in pool] == ["r", "s"]
+    pool = parse_pool_file(text + "(1 2)=(1 2)\n", 16)
+    assert [name for name, _ in pool] == ["r", "s", "(1 2)"]  # a name may hold spaces
     assert pool[0][1] == gen_r()
     assert pool[1][1] == gen_s()
 
 
-@pytest.mark.parametrize("text", ["", "# nothing\n", "r\n", "=(1 2)\n", "x=(1 99)\n"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "# nothing\n",
+        "r\n",
+        "=(1 2)\n",
+        "x=(1 99)\n",
+        "-=(9 13)(10 14)(11 15)(12 16)\n",  # prints as the empty subset
+        "r,s=(9 13)(10 14)(11 15)(12 16)\n",  # prints as two generators
+        "a=(1 2)\n,=(3 4)\n",
+    ],
+)
 def test_parse_pool_file_rejects_malformed(text):
     with pytest.raises(ValueError):
         parse_pool_file(text, 16)
